@@ -40,6 +40,7 @@
 #include "bench/bench_util.h"
 #include "core/reasoner.h"
 #include "ground/grounder.h"
+#include "ground/join.h"
 #include "ground/parser.h"
 #include "tmpl/answer.h"
 #include "tmpl/enumerate.h"
@@ -179,9 +180,11 @@ int Main(int argc, char** argv) {
         // Isolated leg: a fresh Reasoner per substitution — zero shared
         // state, the true per-instantiation baseline.
         Reasoner probe(*db);
-        tmpl::DomainIndex idx = tmpl::DomainIndex::Build(probe.db());
+        std::vector<std::string> universe;
+        const ground::TupleIndex idx =
+            ground::IndexDatabase(probe.db(), &universe);
         Result<std::vector<std::vector<std::string>>> bindings =
-            tmpl::EnumerateBindings(*t, idx, {});
+            tmpl::EnumerateBindings(*t, idx, universe, {});
         if (!bindings.ok()) {
           Audit(false, bindings.status().ToString().c_str(), kind_name,
                 mode_name, cand);

@@ -282,15 +282,18 @@ if [ -x "$QUERY_BIN" ]; then
   elif ! diff -u "$TPL_TMP/batched.out" "$TPL_TMP/naive.out"; then
     echo "template: batched/naive answers differ"; TPL_FAILED=1
   fi
-  # Relevance-filtered grounding must keep every yes answer (candidate
-  # counts legitimately shrink, so compare the answer lines only).
+  # Relevance-filtered grounding must keep every answer (candidate counts
+  # legitimately shrink, so compare the answer lines only). The leg runs
+  # without budgets, so an unknown line on either side is a change too.
   if [ "$TPL_FAILED" -eq 0 ]; then
     if ! "$QUERY_BIN" --batch="$TPL_Q" --ground-relevance "$TPL_PROG" \
          >"$TPL_TMP/relevance.out" 2>&1; then
       echo "template: --ground-relevance run exited nonzero"; TPL_FAILED=1
     else
-      grep -E '^(answer:|yes|no)' "$TPL_TMP/batched.out" >"$TPL_TMP/full.ans"
-      grep -E '^(answer:|yes|no)' "$TPL_TMP/relevance.out" >"$TPL_TMP/rel.ans"
+      grep -E '^(answer:|unknown|yes|no)' "$TPL_TMP/batched.out" \
+        >"$TPL_TMP/full.ans"
+      grep -E '^(answer:|unknown|yes|no)' "$TPL_TMP/relevance.out" \
+        >"$TPL_TMP/rel.ans"
       if ! diff -u "$TPL_TMP/full.ans" "$TPL_TMP/rel.ans"; then
         echo "template: --ground-relevance changed the answers"; TPL_FAILED=1
       fi

@@ -1,12 +1,13 @@
 #include "ground/grounder.h"
 
-#include <functional>
-#include <map>
+#include <algorithm>
+#include <limits>
 #include <set>
 #include <string>
-#include <unordered_map>
+#include <tuple>
 #include <vector>
 
+#include "ground/join.h"
 #include "ground/parser.h"
 #include "util/string_util.h"
 
@@ -22,257 +23,113 @@ bool HasNegation(const FoProgram& prog) {
   return false;
 }
 
-// Substitutes the current variable assignment into an atom and interns the
-// resulting ground atom name.
-Var InternGround(const PredAtom& atom,
-                 const std::unordered_map<std::string, std::string>& subst,
-                 Vocabulary* voc) {
-  if (atom.args.empty()) return voc->Intern(atom.predicate);
-  std::string name = atom.predicate + "(";
-  for (size_t i = 0; i < atom.args.size(); ++i) {
-    if (i) name += ",";
-    const Term& t = atom.args[i];
-    name += t.is_variable ? subst.at(t.name) : t.name;
-  }
-  name += ")";
-  return voc->Intern(name);
+Status Unsafe(const FoRule& r) {
+  return Status::FailedPrecondition(
+      "unsafe rule (variable outside the positive body): " + r.ToString());
 }
 
-// Ground-tuple store shared by the bottom-up grounder and the atom-level
-// relevance filter: per predicate, the set of derived argument tuples.
-class TupleStore {
- public:
-  // Returns true if the tuple was new.
-  bool Insert(const std::string& pred, std::vector<std::string> args) {
-    auto& entry = by_pred_[pred];
-    std::string key = Join(args, "\x1f");
-    if (!entry.seen.insert(key).second) return false;
-    entry.tuples.push_back(std::move(args));
-    return true;
-  }
-
-  bool Contains(const std::string& pred,
-                const std::vector<std::string>& args) const {
-    auto it = by_pred_.find(pred);
-    if (it == by_pred_.end()) return false;
-    return it->second.seen.count(Join(args, "\x1f")) > 0;
-  }
-
-  const std::vector<std::vector<std::string>>* Tuples(
-      const std::string& pred) const {
-    auto it = by_pred_.find(pred);
-    return it == by_pred_.end() ? nullptr : &it->second.tuples;
-  }
-
- private:
-  struct Entry {
-    std::set<std::string> seen;
-    std::vector<std::vector<std::string>> tuples;
-  };
-  std::map<std::string, Entry> by_pred_;
-};
-
-// Backtracking join of the positive body against the store. Calls `emit`
-// with a complete substitution for every match.
-void JoinBody(const std::vector<PredAtom>& body, size_t idx,
-              const TupleStore& store,
-              std::unordered_map<std::string, std::string>* subst,
-              const std::function<void()>& emit) {
-  if (idx == body.size()) {
-    emit();
-    return;
-  }
-  const PredAtom& atom = body[idx];
-  const auto* tuples = store.Tuples(atom.predicate);
-  if (tuples == nullptr) return;
-  for (const auto& tuple : *tuples) {
-    if (static_cast<int>(tuple.size()) != atom.arity()) continue;
-    // Try to unify the atom's terms with the tuple.
-    std::vector<std::string> bound_here;
-    bool ok = true;
-    for (size_t i = 0; i < tuple.size(); ++i) {
-      const Term& t = atom.args[i];
-      if (!t.is_variable) {
-        if (t.name != tuple[i]) {
-          ok = false;
-          break;
-        }
-        continue;
-      }
-      auto it = subst->find(t.name);
-      if (it != subst->end()) {
-        if (it->second != tuple[i]) {
-          ok = false;
-          break;
-        }
-      } else {
-        (*subst)[t.name] = tuple[i];
-        bound_here.push_back(t.name);
-      }
-    }
-    if (ok) JoinBody(body, idx + 1, store, subst, emit);
-    for (const auto& v : bound_here) subst->erase(v);
-  }
+Status TooManyClauses(int64_t max_clauses) {
+  return Status::ResourceExhausted(
+      StrFormat("grounding exceeded %lld clauses",
+                static_cast<long long>(max_clauses)));
 }
 
-// The ground args of `a` under `subst`; head variables left unbound by an
-// unsafe rule's body join are expanded over the universe by the caller.
-std::vector<std::string> GroundArgs(
-    const PredAtom& a,
-    const std::unordered_map<std::string, std::string>& subst) {
-  std::vector<std::string> out;
-  out.reserve(a.args.size());
-  for (const Term& t : a.args) {
-    out.push_back(t.is_variable ? subst.at(t.name) : t.name);
+// Fills `closure` with the derivable closure: the least set of ground atoms
+// that holds the heads of every rule instance whose positive body it holds.
+// Head variables outside the body (unsafe rules) expand over the universe.
+// Every closure atom is a head of an emitted clause, so the closure never
+// needs more than max_clauses × (largest head count) tuples; past that it
+// fails like the emission would.
+Status Closure(const FoProgram& prog, const std::vector<std::string>& universe,
+               int64_t max_clauses, TupleIndex* closure) {
+  std::vector<Join> joins;
+  int64_t max_heads = 1;
+  for (const FoRule& r : prog.rules) {
+    joins.emplace_back(r.pos_body, r.Variables());
+    max_heads = std::max<int64_t>(max_heads, r.heads.size());
   }
-  return out;
-}
-
-// Atom-level derivability closure: the fixpoint of "a ground head atom is
-// derivable when some rule instance's positive body lies inside the
-// closure". This is exactly the tuple set GroundBottomUp joins against,
-// which is what makes Ground(relevance_filter) emit the same clause set
-// (hence the same util/fingerprint key) as GroundBottomUp on safe
-// deductive programs. Head variables outside the positive body (unsafe
-// rules, allowed with require_safety=false) expand over the universe.
-TupleStore DerivableAtoms(const FoProgram& prog,
-                          const std::vector<std::string>& universe) {
-  TupleStore store;
+  const int64_t limit =
+      max_clauses > std::numeric_limits<int64_t>::max() / max_heads
+          ? std::numeric_limits<int64_t>::max()
+          : max_clauses * max_heads;
   bool changed = true;
   while (changed) {
     changed = false;
-    std::vector<std::pair<std::string, std::vector<std::string>>> pending;
-    for (const FoRule& r : prog.rules) {
-      std::unordered_map<std::string, std::string> subst;
-      JoinBody(r.pos_body, 0, store, &subst, [&]() {
-        for (const PredAtom& h : r.heads) {
-          std::vector<std::string> free;
-          for (const Term& t : h.args) {
-            if (t.is_variable && subst.find(t.name) == subst.end()) {
-              free.push_back(t.name);
-            }
-          }
-          if (free.empty()) {
-            pending.emplace_back(h.predicate, GroundArgs(h, subst));
-            continue;
-          }
-          if (universe.empty()) continue;
-          // Unsafe head: every instantiation of the free variables.
-          std::vector<size_t> pick(free.size(), 0);
-          for (;;) {
-            for (size_t i = 0; i < free.size(); ++i) {
-              subst[free[i]] = universe[pick[i]];
-            }
-            pending.emplace_back(h.predicate, GroundArgs(h, subst));
-            size_t i = 0;
-            for (; i < pick.size(); ++i) {
-              if (++pick[i] < universe.size()) break;
-              pick[i] = 0;
-            }
-            if (i == pick.size()) break;
-          }
-          for (const std::string& v : free) subst.erase(v);
+    for (size_t i = 0; i < prog.rules.size(); ++i) {
+      if (prog.rules[i].heads.empty()) continue;  // derives nothing
+      const Join& join = joins[i];
+      const bool within = join.Run(*closure, universe, [&](const Binding& b) {
+        for (const PredAtom& h : prog.rules[i].heads) {
+          if (closure->Insert(h.predicate, join.Args(h, b))) changed = true;
         }
+        return closure->size() <= limit;
       });
-    }
-    for (auto& [pred, args] : pending) {
-      if (store.Insert(pred, std::move(args))) changed = true;
+      if (!within) return TooManyClauses(max_clauses);
     }
   }
-  return store;
+  return Status::OK();
+}
+
+// Emits every rule instance into `db`, deduplicated: the positive body
+// joined against `closure` when there is one, else the bare universe
+// odometer over the rule's variables.
+Status EmitInstances(const FoProgram& prog, const TupleIndex* closure,
+                     const std::vector<std::string>& universe,
+                     int64_t max_clauses, Database* db) {
+  const TupleIndex none;
+  const std::vector<PredAtom> no_atoms;
+  std::set<std::tuple<std::vector<Var>, std::vector<Var>, std::vector<Var>>>
+      seen;
+  int64_t emitted = 0;
+  for (const FoRule& r : prog.rules) {
+    const Join join(closure != nullptr ? r.pos_body : no_atoms,
+                    r.Variables());
+    auto intern = [&](const std::vector<PredAtom>& atoms, const Binding& b) {
+      std::vector<Var> out;
+      out.reserve(atoms.size());
+      for (const PredAtom& a : atoms) {
+        out.push_back(db->vocabulary().Intern(join.Name(a, b)));
+      }
+      return out;
+    };
+    const bool within = join.Run(
+        closure != nullptr ? *closure : none, universe,
+        [&](const Binding& b) {
+          // Interned in rule order: heads, positive body, negative body.
+          std::vector<Var> heads = intern(r.heads, b);
+          std::vector<Var> pos = intern(r.pos_body, b);
+          Clause clause(std::move(heads), std::move(pos),
+                        intern(r.neg_body, b));
+          if (!seen.emplace(clause.heads(), clause.pos_body(),
+                            clause.neg_body())
+                   .second) {
+            return true;
+          }
+          db->AddClause(std::move(clause));
+          return ++emitted <= max_clauses;
+        });
+    if (!within) return TooManyClauses(max_clauses);
+  }
+  return Status::OK();
 }
 
 }  // namespace
 
 Result<Database> Ground(const FoProgram& program, const GroundOptions& opts) {
-  // Safety.
   if (opts.require_safety) {
     for (const FoRule& r : program.rules) {
-      if (!r.IsSafe()) {
-        return Status::FailedPrecondition(
-            "unsafe rule (variable outside the positive body): " +
-            r.ToString());
-      }
+      if (!r.IsSafe()) return Unsafe(r);
     }
   }
-  std::vector<std::string> universe = program.Constants();
-  const bool use_relevance =
-      opts.relevance_filter && !HasNegation(program);
-  TupleStore derivable;
-  if (use_relevance) derivable = DerivableAtoms(program, universe);
-
+  const std::vector<std::string> universe = program.Constants();
+  TupleIndex closure;
+  const bool relevance = opts.relevance_filter && !HasNegation(program);
+  if (relevance) {
+    DD_RETURN_IF_ERROR(Closure(program, universe, opts.max_clauses, &closure));
+  }
   Database db;
-  std::set<std::vector<int32_t>> seen;  // clause dedupe keys
-  int64_t emitted = 0;
-
-  for (const FoRule& r : program.rules) {
-    std::vector<std::string> vars = r.Variables();
-    if (!vars.empty() && universe.empty()) {
-      // No constants anywhere: rules with variables have no instances.
-      continue;
-    }
-    // Odometer over universe^|vars|.
-    std::vector<size_t> pick(vars.size(), 0);
-    std::unordered_map<std::string, std::string> subst;
-    auto advance = [&]() {
-      size_t i = 0;
-      for (; i < pick.size(); ++i) {
-        if (++pick[i] < universe.size()) return true;
-        pick[i] = 0;
-      }
-      return false;
-    };
-    for (;;) {
-      subst.clear();
-      for (size_t i = 0; i < vars.size(); ++i) {
-        subst[vars[i]] = universe[pick[i]];
-      }
-      // Atom-level relevance: skip the instance unless every positive
-      // body atom lies in the derivable closure — the same membership
-      // test the bottom-up grounder's join performs, so the two grounders
-      // emit identical clause sets (and fingerprints) on safe deductive
-      // programs.
-      bool relevant = true;
-      if (use_relevance) {
-        for (const PredAtom& b : r.pos_body) {
-          if (!derivable.Contains(b.predicate, GroundArgs(b, subst))) {
-            relevant = false;
-            break;
-          }
-        }
-      }
-      if (!relevant) {
-        if (!advance()) break;
-        continue;
-      }
-      std::vector<Var> heads, pos, neg;
-      for (const PredAtom& a : r.heads) {
-        heads.push_back(InternGround(a, subst, &db.vocabulary()));
-      }
-      for (const PredAtom& a : r.pos_body) {
-        pos.push_back(InternGround(a, subst, &db.vocabulary()));
-      }
-      for (const PredAtom& a : r.neg_body) {
-        neg.push_back(InternGround(a, subst, &db.vocabulary()));
-      }
-      Clause clause(std::move(heads), std::move(pos), std::move(neg));
-      std::vector<int32_t> key;
-      for (Var v : clause.heads()) key.push_back(v);
-      key.push_back(-1);
-      for (Var v : clause.pos_body()) key.push_back(v);
-      key.push_back(-2);
-      for (Var v : clause.neg_body()) key.push_back(v);
-      if (seen.insert(key).second) {
-        db.AddClause(std::move(clause));
-        if (++emitted > opts.max_clauses) {
-          return Status::ResourceExhausted(
-              StrFormat("grounding exceeded %lld clauses",
-                        static_cast<long long>(opts.max_clauses)));
-        }
-      }
-      if (!advance()) break;
-    }
-  }
+  DD_RETURN_IF_ERROR(EmitInstances(program, relevance ? &closure : nullptr,
+                                   universe, opts.max_clauses, &db));
   return db;
 }
 
@@ -290,65 +147,12 @@ Result<Database> GroundBottomUp(const FoProgram& program,
           "GroundBottomUp handles deductive programs only (no negation): " +
           r.ToString());
     }
-    if (!r.IsSafe()) {
-      return Status::FailedPrecondition(
-          "unsafe rule (variable outside the positive body): " +
-          r.ToString());
-    }
+    if (!r.IsSafe()) return Unsafe(r);
   }
-
-  Database db;
-  TupleStore store;
-  std::set<std::vector<int32_t>> seen_clauses;
-  int64_t emitted = 0;
-  Status overflow = Status::OK();
-
-  bool changed = true;
-  while (changed && overflow.ok()) {
-    changed = false;
-    // Newly derived head tuples are buffered and installed after the pass:
-    // inserting during the join would invalidate the tuple vectors the
-    // backtracking iteration walks.
-    std::vector<std::pair<std::string, std::vector<std::string>>> pending;
-    for (const FoRule& r : program.rules) {
-      if (!overflow.ok()) break;
-      std::unordered_map<std::string, std::string> subst;
-      JoinBody(r.pos_body, 0, store, &subst, [&]() {
-        if (!overflow.ok()) return;
-        // Build and dedupe the instance.
-        std::vector<Var> heads, pos;
-        for (const PredAtom& a : r.heads) {
-          heads.push_back(InternGround(a, subst, &db.vocabulary()));
-        }
-        for (const PredAtom& a : r.pos_body) {
-          pos.push_back(InternGround(a, subst, &db.vocabulary()));
-        }
-        Clause clause(std::move(heads), std::move(pos), {});
-        std::vector<int32_t> key;
-        for (Var v : clause.heads()) key.push_back(v);
-        key.push_back(-1);
-        for (Var v : clause.pos_body()) key.push_back(v);
-        if (seen_clauses.insert(key).second) {
-          db.AddClause(std::move(clause));
-          if (++emitted > opts.max_clauses) {
-            overflow = Status::ResourceExhausted(
-                StrFormat("grounding exceeded %lld clauses",
-                          static_cast<long long>(opts.max_clauses)));
-            return;
-          }
-        }
-        // Every head atom becomes derivable (installed after the pass).
-        for (const PredAtom& a : r.heads) {
-          pending.emplace_back(a.predicate, GroundArgs(a, subst));
-        }
-      });
-    }
-    for (auto& [pred, args] : pending) {
-      if (store.Insert(pred, std::move(args))) changed = true;
-    }
-  }
-  DD_RETURN_IF_ERROR(overflow);
-  return db;
+  GroundOptions bottom_up = opts;
+  bottom_up.require_safety = true;
+  bottom_up.relevance_filter = true;
+  return Ground(program, bottom_up);
 }
 
 }  // namespace ground

@@ -15,7 +15,8 @@ namespace ground {
 
 /// Grounding limits and policies.
 struct GroundOptions {
-  /// Upper bound on emitted ground clauses (ResourceExhausted beyond).
+  /// Upper bound on emitted ground clauses (ResourceExhausted beyond). The
+  /// derivable closure is held to the tuples that many clauses can carry.
   int64_t max_clauses = 1000000;
   /// Reject rules whose variables do not all occur in the positive body
   /// (Datalog safety). When false, unsafe rules are instantiated over the
@@ -23,12 +24,11 @@ struct GroundOptions {
   bool require_safety = true;
   /// Drop ground rules whose positive body mentions a ground atom outside
   /// the head-derivable closure (an atom-level relevance filter that
-  /// typically shrinks the grounding by orders of magnitude). The filter
-  /// performs the same closure-membership test GroundBottomUp joins
-  /// against, so Ground(relevance_filter) and GroundBottomUp emit the
-  /// SAME clause set — hence the same util/fingerprint key — on safe
-  /// deductive programs: either grounder's output hits the other's shared
-  /// answer-cache and model-bank entries instead of missing.
+  /// typically shrinks the grounding by orders of magnitude). The filtered
+  /// grounding IS GroundBottomUp's: one closure, one emission join, so the
+  /// two emit the same clauses — hence the same util/fingerprint key — on
+  /// safe deductive programs, and share answer-cache and model-bank
+  /// entries.
   ///
   /// SOUNDNESS SCOPE: the filter preserves every semantics whose intended
   /// models live inside the head-derivable closure — GCWA, EGCWA, full
@@ -50,13 +50,12 @@ Result<Database> GroundProgramText(std::string_view text,
                                    const GroundOptions& opts = {});
 
 /// Bottom-up grounding for *deductive* programs (no negation; safety
-/// required): instantiates rules by joining their positive bodies against
-/// the set of derivable ground atoms instead of enumerating the full
-/// universe^variables space. Emits exactly the instances whose positive
-/// body lies inside the head-derivable closure, so it carries the same
-/// soundness scope as the relevance filter (see above) — it is the right
-/// grounder for the GCWA/EGCWA/DDR/PWS/DSM family and typically orders of
-/// magnitude smaller and faster than Ground() on Datalog-style programs.
+/// required): Ground() with the relevance filter on. It joins positive
+/// bodies against the derivable closure instead of enumerating the full
+/// universe^variables space, so it carries the filter's soundness scope
+/// (see above). It is the right grounder for the GCWA/EGCWA/DDR/PWS/DSM
+/// family and typically orders of magnitude smaller and faster than plain
+/// Ground() on Datalog-style programs.
 Result<Database> GroundBottomUp(const FoProgram& program,
                                 const GroundOptions& opts = {});
 

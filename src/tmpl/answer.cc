@@ -71,7 +71,8 @@ Result<TemplateAnswer> AnswerTemplate(Reasoner* r, SemanticsKind kind,
   out.vars = t.vars;
   out.stats.templates = 1;
 
-  DomainIndex idx = DomainIndex::Build(r->db());
+  std::vector<std::string> universe;
+  const ground::TupleIndex idx = ground::IndexDatabase(r->db(), &universe);
 
   // Pruning gates (header comment): a custom CCWA/ECWA partition lets
   // unmentioned atoms float, and a model-free database makes skeptical
@@ -97,11 +98,11 @@ Result<TemplateAnswer> AnswerTemplate(Reasoner* r, SemanticsKind kind,
   eo.max_candidates = opts.max_candidates;
   eo.prune = prune;
   DD_ASSIGN_OR_RETURN(std::vector<std::vector<std::string>> bindings,
-                      EnumerateBindings(t, idx, eo));
+                      EnumerateBindings(t, idx, universe, eo));
   out.candidates = static_cast<int64_t>(bindings.size());
   out.stats.candidates = out.candidates;
   out.stats.full_space =
-      SaturatingPow(static_cast<int64_t>(idx.universe.size()), t.vars.size());
+      SaturatingPow(static_cast<int64_t>(universe.size()), t.vars.size());
   if (prune && out.stats.full_space > out.candidates) {
     out.stats.pruned = out.stats.full_space - out.candidates;
   }

@@ -1,67 +1,10 @@
 #include "tmpl/enumerate.h"
 
-#include <functional>
 #include <limits>
 #include <set>
-#include <unordered_map>
-
-#include "logic/clause.h"
-#include "logic/vocabulary.h"
 
 namespace dd {
 namespace tmpl {
-
-namespace {
-
-/// Splits a propositional atom name back into (predicate, args): the
-/// inverse of the grounder's "p(c1,c2)" naming. Names without an argument
-/// list are arity-0 predicates.
-void SplitGroundAtom(const std::string& name, std::string* pred,
-                     std::vector<std::string>* args) {
-  size_t open = name.find('(');
-  if (open == std::string::npos || name.back() != ')') {
-    *pred = name;
-    return;
-  }
-  *pred = name.substr(0, open);
-  std::string inner = name.substr(open + 1, name.size() - open - 2);
-  size_t start = 0;
-  while (start <= inner.size()) {
-    size_t comma = inner.find(',', start);
-    if (comma == std::string::npos) {
-      args->push_back(inner.substr(start));
-      break;
-    }
-    args->push_back(inner.substr(start, comma - start));
-    start = comma + 1;
-  }
-}
-
-}  // namespace
-
-DomainIndex DomainIndex::Build(const Database& db) {
-  std::set<Var> used;
-  for (const Clause& c : db.clauses()) {
-    for (Var v : c.heads()) used.insert(v);
-    for (Var v : c.pos_body()) used.insert(v);
-    for (Var v : c.neg_body()) used.insert(v);
-  }
-  std::map<std::string, std::set<std::vector<std::string>>> by_pred;
-  std::set<std::string> constants;
-  for (Var v : used) {
-    std::string pred;
-    std::vector<std::string> args;
-    SplitGroundAtom(db.vocabulary().Name(v), &pred, &args);
-    for (const std::string& c : args) constants.insert(c);
-    by_pred[pred].insert(std::move(args));
-  }
-  DomainIndex idx;
-  for (auto& [pred, tuples] : by_pred) {
-    idx.tuples[pred].assign(tuples.begin(), tuples.end());
-  }
-  idx.universe.assign(constants.begin(), constants.end());
-  return idx;
-}
 
 int64_t SaturatingPow(int64_t base, size_t exp) {
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
@@ -73,103 +16,32 @@ int64_t SaturatingPow(int64_t base, size_t exp) {
   return r;
 }
 
-namespace {
-
-/// Backtracking join of the positive conjuncts against the index — the
-/// same shape as the bottom-up grounder's JoinBody, but over the tuples
-/// the CLAUSES mention rather than the derivable closure (an intended
-/// model can satisfy body atoms the fixpoint never derives, e.g. from a
-/// disjunctive head, so clause-mention is the sound upper bound here).
-void Join(const std::vector<ground::PredAtom>& conjuncts, size_t i,
-          const DomainIndex& idx,
-          std::unordered_map<std::string, std::string>* subst,
-          const std::function<void()>& emit) {
-  if (i == conjuncts.size()) {
-    emit();
-    return;
-  }
-  const ground::PredAtom& atom = conjuncts[i];
-  auto it = idx.tuples.find(atom.predicate);
-  if (it == idx.tuples.end()) return;
-  for (const std::vector<std::string>& tuple : it->second) {
-    if (static_cast<int>(tuple.size()) != atom.arity()) continue;
-    std::vector<std::string> bound_here;
-    bool ok = true;
-    for (size_t k = 0; k < tuple.size(); ++k) {
-      const ground::Term& term = atom.args[k];
-      if (!term.is_variable) {
-        if (term.name != tuple[k]) {
-          ok = false;
-          break;
-        }
-        continue;
-      }
-      auto bound = subst->find(term.name);
-      if (bound != subst->end()) {
-        if (bound->second != tuple[k]) {
-          ok = false;
-          break;
-        }
-      } else {
-        (*subst)[term.name] = tuple[k];
-        bound_here.push_back(term.name);
-      }
-    }
-    if (ok) Join(conjuncts, i + 1, idx, subst, emit);
-    for (const std::string& v : bound_here) subst->erase(v);
-  }
-}
-
-}  // namespace
-
 Result<std::vector<std::vector<std::string>>> EnumerateBindings(
-    const Template& t, const DomainIndex& idx, const EnumerateOptions& opts) {
+    const Template& t, const ground::TupleIndex& idx,
+    const std::vector<std::string>& universe, const EnumerateOptions& opts) {
   if (t.vars.empty()) {
     // One ground candidate; answering it is the batch layer's job.
     return std::vector<std::vector<std::string>>{{}};
   }
+  // The join runs over the tuples the CLAUSES mention rather than the
+  // derivable closure: an intended model can satisfy body atoms the
+  // fixpoint never derives (e.g. from a disjunctive head), so
+  // clause-mention is the sound upper bound here.
+  const std::vector<ground::PredAtom> no_atoms;
+  const ground::Join join(opts.prune ? t.pos : no_atoms, t.vars);
   std::set<std::vector<std::string>> out;  // sorted + deduplicated
-  Status overflow = Status::OK();
-  auto cap_check = [&]() {
-    if (overflow.ok() &&
-        static_cast<int64_t>(out.size()) > opts.max_candidates) {
-      overflow = Status::ResourceExhausted(
-          "template enumeration exceeded max_candidates");
-    }
-  };
-  if (opts.prune) {
-    std::unordered_map<std::string, std::string> subst;
-    Join(t.pos, 0, idx, &subst, [&]() {
-      if (!overflow.ok()) return;
-      std::vector<std::string> binding;
-      binding.reserve(t.vars.size());
-      for (const std::string& v : t.vars) binding.push_back(subst.at(v));
-      out.insert(std::move(binding));
-      cap_check();
-    });
-  } else {
-    if (idx.universe.empty()) return std::vector<std::vector<std::string>>{};
-    // Odometer over universe^|vars|, last variable fastest — emission is
-    // already lexicographic, the set just mirrors the pruned path.
-    std::vector<size_t> pick(t.vars.size(), 0);
-    for (;;) {
-      std::vector<std::string> binding;
-      binding.reserve(t.vars.size());
-      for (size_t i = 0; i < pick.size(); ++i) {
-        binding.push_back(idx.universe[pick[i]]);
-      }
-      out.insert(std::move(binding));
-      cap_check();
-      if (!overflow.ok()) break;
-      size_t i = pick.size();
-      for (; i > 0; --i) {
-        if (++pick[i - 1] < idx.universe.size()) break;
-        pick[i - 1] = 0;
-      }
-      if (i == 0) break;
-    }
+  const bool within =
+      join.Run(idx, universe, [&](const ground::Binding& b) {
+        std::vector<std::string> binding;
+        binding.reserve(b.size());
+        for (const std::string* c : b) binding.push_back(*c);
+        out.insert(std::move(binding));
+        return static_cast<int64_t>(out.size()) <= opts.max_candidates;
+      });
+  if (!within) {
+    return Status::ResourceExhausted(
+        "template enumeration exceeded max_candidates");
   }
-  DD_RETURN_IF_ERROR(overflow);
   return std::vector<std::vector<std::string>>(out.begin(), out.end());
 }
 

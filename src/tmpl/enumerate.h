@@ -7,10 +7,9 @@
 // implemented semantics (with the default minimize-everything partition),
 // so it can never be an answer.
 //
-// DomainIndex extracts, per predicate, the ground argument tuples the
-// database's clauses actually mention (per-argument-position domain
-// extraction), and EnumerateBindings backtrack-joins the template's
-// positive conjuncts against those tuples — relevance pruning that never
+// EnumerateBindings joins the template's positive conjuncts against the
+// ground tuples the database's clauses mention (ground::IndexDatabase,
+// with the grounder's own ground::Join) — relevance pruning that never
 // materializes the constant cross-product. The full-universe odometer
 // remains available (EnumerateOptions::prune = false) for the cases where
 // pruning is unsound; tmpl/answer.h owns that gate (docs/TEMPLATES.md
@@ -19,27 +18,15 @@
 #define DD_TMPL_ENUMERATE_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "logic/database.h"
+#include "ground/join.h"
 #include "tmpl/template.h"
 #include "util/status.h"
 
 namespace dd {
 namespace tmpl {
-
-/// The ground-atom shape of one database: per predicate, the argument
-/// tuples mentioned by any clause (sorted, deduplicated), plus the
-/// Herbrand universe of constants those tuples mention (sorted). Bare
-/// propositional atoms appear as arity-0 predicates with one empty tuple.
-struct DomainIndex {
-  std::map<std::string, std::vector<std::vector<std::string>>> tuples;
-  std::vector<std::string> universe;
-
-  static DomainIndex Build(const Database& db);
-};
 
 struct EnumerateOptions {
   /// Candidate cap: enumeration beyond this fails ResourceExhausted
@@ -50,12 +37,14 @@ struct EnumerateOptions {
   bool prune = true;
 };
 
-/// The candidate bindings of `t` (each parallel to t.vars), sorted
+/// The candidate bindings of `t` (each parallel to t.vars) over the index
+/// and universe ground::IndexDatabase reads from a database, sorted
 /// lexicographically and deduplicated — a deterministic order independent
 /// of join order and thread count. A template with no variables has
 /// exactly one (empty) candidate.
 Result<std::vector<std::vector<std::string>>> EnumerateBindings(
-    const Template& t, const DomainIndex& idx, const EnumerateOptions& opts);
+    const Template& t, const ground::TupleIndex& idx,
+    const std::vector<std::string>& universe, const EnumerateOptions& opts);
 
 /// |universe|^exp, saturating at INT64_MAX (the pruning-denominator stat).
 int64_t SaturatingPow(int64_t base, size_t exp);

@@ -1,6 +1,7 @@
 #include "ground/grounder.h"
 
 #include "core/brute_force.h"
+#include "core/io.h"
 #include "core/reasoner.h"
 #include "ground/parser.h"
 #include "gtest/gtest.h"
@@ -296,6 +297,25 @@ TEST(Grounder, RelevanceFilterMatchesBottomUpClauseForClause) {
   EXPECT_NE(filtered->vocabulary().Find("q(a)"), kInvalidVar);
 }
 
+/// The bench_template family (bench/bench_template.cc): a color ring with
+/// two color-swapping edges and a ring whose colors are forced.
+std::string TwoRingProgram(int m, int j) {
+  std::string p = "color(x1,r) | color(x1,g).\n";
+  for (int i = 1; i < m; ++i) {
+    p += StrFormat(i == m / 2 ? "sedge(x%d,x%d).\n" : "edge(x%d,x%d).\n", i,
+                   i + 1);
+  }
+  p += StrFormat("sedge(x%d,x1).\n", m);
+  p += "color(y1,r).\n";
+  for (int i = 1; i < j; ++i) p += StrFormat("edge(y%d,y%d).\n", i, i + 1);
+  p += StrFormat("edge(y%d,y1).\n", j);
+  p += "color(Y,C) :- edge(X,Y), color(X,C).\n";
+  p += "color(Y,r) :- sedge(X,Y), color(X,g).\n";
+  p += "color(Y,g) :- sedge(X,Y), color(X,r).\n";
+  p += ":- color(X,r), color(X,g).\n";
+  return p;
+}
+
 TEST(Grounder, RelevanceFilterFingerprintSharedAcrossGrounders) {
   // Disjunctive heads + a join rule + a rule reorder: both grounders and
   // both rule orders must land on ONE fingerprint, the key of the shared
@@ -322,6 +342,42 @@ TEST(Grounder, RelevanceFilterFingerprintSharedAcrossGrounders) {
   // Junk instances over the color constants never materialize: r/g are
   // not nodes, so color(r,g)-style atoms stay out of the closure.
   EXPECT_EQ(a->vocabulary().Find("color(r,g)"), kInvalidVar);
+
+  // The committed coloring example and the template bench's two rings.
+  auto coloring = ReadFileToString(DD_EXAMPLES_DIR "/coloring3.fodb");
+  ASSERT_TRUE(coloring.ok()) << coloring.status().ToString();
+  for (const std::string& program : {*coloring, TwoRingProgram(12, 4)}) {
+    auto parsed = ParseProgram(program);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    auto filtered = ground::Ground(*parsed, rel);
+    auto bottom_up = ground::GroundBottomUp(*parsed);
+    ASSERT_TRUE(filtered.ok() && bottom_up.ok());
+    EXPECT_GT(bottom_up->num_clauses(), 0);
+    EXPECT_EQ(DatabaseFingerprint(*filtered), DatabaseFingerprint(*bottom_up))
+        << program;
+  }
+}
+
+TEST(Grounder, ClosureHeldToClauseCap) {
+  // Transitive closure over a complete graph: the derivable closure alone
+  // runs to 200^2 path atoms joined 200^3 ways, so the clause cap must
+  // stop it while it grows, not after.
+  std::string text;
+  for (int i = 0; i < 200; ++i) text += StrFormat("node(c%d).\n", i);
+  text += "edge(X, Y) :- node(X), node(Y).\n";
+  text += "path(X, Y) :- edge(X, Y).\n";
+  text += "path(X, Z) :- path(X, Y), edge(Y, Z).\n";
+  auto prog = ParseProgram(text);
+  ASSERT_TRUE(prog.ok());
+  GroundOptions opts;
+  opts.max_clauses = 100;
+  auto bottom_up = ground::GroundBottomUp(*prog, opts);
+  EXPECT_EQ(bottom_up.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(bottom_up.status().message(), "grounding exceeded 100 clauses");
+  opts.relevance_filter = true;
+  auto filtered = ground::Ground(*prog, opts);
+  EXPECT_EQ(filtered.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(filtered.status().message(), "grounding exceeded 100 clauses");
 }
 
 TEST(Grounder, StratifiedDefaultsThroughGrounding) {

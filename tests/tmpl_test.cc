@@ -15,6 +15,7 @@
 
 #include "batch/answer_cache.h"
 #include "core/reasoner.h"
+#include "ground/join.h"
 #include "gtest/gtest.h"
 #include "sat/fault.h"
 #include "tests/test_util.h"
@@ -28,7 +29,6 @@ namespace {
 using dd::testing::Db;
 using tmpl::AnswerTemplate;
 using tmpl::AnswerTemplateText;
-using tmpl::DomainIndex;
 using tmpl::EnumerateBindings;
 using tmpl::EnumerateOptions;
 using tmpl::GroundAtomName;
@@ -68,6 +68,14 @@ std::string InstanceFormula(const Template& t, const Binding& b) {
   return f;
 }
 
+/// EnumerateBindings over the index and universe read from `db`.
+Result<std::vector<Binding>> Enumerate(const Database& db, const Template& t,
+                                       const EnumerateOptions& eo) {
+  std::vector<std::string> universe;
+  ground::TupleIndex idx = ground::IndexDatabase(db, &universe);
+  return EnumerateBindings(t, idx, universe, eo);
+}
+
 /// Independent reference: every full-universe instantiation evaluated
 /// through the sequential unlimited entry points. Each instantiation gets
 /// a FRESH Reasoner — parsing a junk formula interns its atom into the
@@ -80,10 +88,9 @@ std::optional<BindingSet> BruteForceYes(
     const std::string& program, const Template& t, SemanticsKind kind,
     bool brave, const std::function<void(Reasoner*)>& configure = {}) {
   Reasoner probe(Db(program));
-  DomainIndex idx = DomainIndex::Build(probe.db());
   EnumerateOptions eo;
   eo.prune = false;
-  auto bindings = EnumerateBindings(t, idx, eo);
+  auto bindings = Enumerate(probe.db(), t, eo);
   EXPECT_TRUE(bindings.ok()) << bindings.status().ToString();
   BindingSet yes;
   for (const Binding& b : *bindings) {
@@ -179,53 +186,59 @@ TEST(TemplateCompile, MixedConjunctsCompileToConjunctionFormula) {
 // Domain extraction and enumeration
 // ---------------------------------------------------------------------------
 
-TEST(Enumerate, DomainIndexCollectsMentionedTuples) {
-  Database db = Db("p(a). q(a,b) | p(b). r.");
-  DomainIndex idx = DomainIndex::Build(db);
-  ASSERT_EQ(idx.tuples.count("p"), 1u);
-  EXPECT_EQ(idx.tuples["p"],
-            (std::vector<Binding>{{"a"}, {"b"}}));
-  EXPECT_EQ(idx.tuples["q"], (std::vector<Binding>{{"a", "b"}}));
+/// pred's tuples in `idx`, as a vector for comparison.
+std::vector<Binding> Rows(const ground::TupleIndex& idx, const char* pred) {
+  return std::vector<Binding>(idx.Tuples(pred).begin(), idx.Tuples(pred).end());
+}
+
+TEST(Enumerate, IndexDatabaseCollectsMentionedTuples) {
+  Database db = Db("p(a). q(a,b) | p(b). r. s(). s(a,,c).");
+  std::vector<std::string> universe;
+  ground::TupleIndex idx = ground::IndexDatabase(db, &universe);
+  EXPECT_EQ(Rows(idx, "p"), (std::vector<Binding>{{"a"}, {"b"}}));
+  EXPECT_EQ(Rows(idx, "q"), (std::vector<Binding>{{"a", "b"}}));
   // Bare propositional atoms are arity-0 predicates with one empty tuple.
-  EXPECT_EQ(idx.tuples["r"], (std::vector<Binding>{{}}));
-  EXPECT_EQ(idx.universe, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(Rows(idx, "r"), (std::vector<Binding>{{}}));
+  // So are names with an empty argument: they lex as atom names, and
+  // splitting them would bind the empty constant.
+  EXPECT_TRUE(Rows(idx, "s").empty());
+  EXPECT_EQ(Rows(idx, "s()"), (std::vector<Binding>{{}}));
+  EXPECT_EQ(Rows(idx, "s(a,,c)"), (std::vector<Binding>{{}}));
+  EXPECT_EQ(universe, (std::vector<std::string>{"a", "b"}));
 }
 
 TEST(Enumerate, JoinBindsConstantsAndSharedVariables) {
   Database db = Db("e(a,b). e(b,c). e(a,c).");
-  DomainIndex idx = DomainIndex::Build(db);
   auto t = ParseTemplate("e(X, Y), e(Y, Z)");
   ASSERT_TRUE(t.ok());
-  auto bindings = EnumerateBindings(*t, idx, EnumerateOptions{});
+  auto bindings = Enumerate(db, *t, EnumerateOptions{});
   ASSERT_TRUE(bindings.ok());
   // Chains through a shared middle node only: (a,b,c).
   EXPECT_EQ(*bindings, (std::vector<Binding>{{"a", "b", "c"}}));
   // A constant in the template restricts the join.
   auto t2 = ParseTemplate("e(a, Y)");
   ASSERT_TRUE(t2.ok());
-  auto b2 = EnumerateBindings(*t2, idx, EnumerateOptions{});
+  auto b2 = Enumerate(db, *t2, EnumerateOptions{});
   ASSERT_TRUE(b2.ok());
   EXPECT_EQ(*b2, (std::vector<Binding>{{"b"}, {"c"}}));
 }
 
 TEST(Enumerate, ZeroVariableTemplateHasOneEmptyCandidate) {
   Database db = Db("p(a).");
-  DomainIndex idx = DomainIndex::Build(db);
   auto t = ParseTemplate("p(a)");
   ASSERT_TRUE(t.ok());
-  auto bindings = EnumerateBindings(*t, idx, EnumerateOptions{});
+  auto bindings = Enumerate(db, *t, EnumerateOptions{});
   ASSERT_TRUE(bindings.ok());
   EXPECT_EQ(*bindings, (std::vector<Binding>{{}}));
 }
 
 TEST(Enumerate, CandidateCapFailsResourceExhausted) {
   Database db = Db("p(a). p(b). p(c).");
-  DomainIndex idx = DomainIndex::Build(db);
   auto t = ParseTemplate("p(X), p(Y)");
   ASSERT_TRUE(t.ok());
   EnumerateOptions eo;
   eo.max_candidates = 2;
-  auto bindings = EnumerateBindings(*t, idx, eo);
+  auto bindings = Enumerate(db, *t, eo);
   ASSERT_FALSE(bindings.ok());
   EXPECT_EQ(bindings.status().code(), StatusCode::kResourceExhausted);
 }
@@ -341,6 +354,28 @@ TEST(TemplateProperty, InconsistentDatabaseIsVacuousOverFullUniverse) {
   EXPECT_TRUE(b->yes.empty());
 }
 
+TEST(TemplateProperty, EmptyArgumentNamesBindNoEmptyConstant) {
+  // "p()" is the arity-0 atom "p()", not p applied to the constant "".
+  Reasoner r(Db("p(). q(a)."));
+  auto a = AnswerTemplateText(&r, SemanticsKind::kGcwa, "p(X)",
+                              batch::BatchMode::kSkeptical);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  EXPECT_EQ(a->candidates, 0);
+  EXPECT_TRUE(a->yes.empty());
+  Reasoner r3(Db("p(a,,b)."));
+  auto a3 = AnswerTemplateText(&r3, SemanticsKind::kGcwa, "p(X,Y,Z)",
+                               batch::BatchMode::kSkeptical);
+  ASSERT_TRUE(a3.ok()) << a3.status().ToString();
+  EXPECT_TRUE(a3->yes.empty());
+  // Nor does "" join the unpruned universe: it holds c alone.
+  Reasoner v(Db("p(a,,b). q(c). :- q(c)."));
+  auto b = AnswerTemplateText(&v, SemanticsKind::kGcwa, "q(X)",
+                              batch::BatchMode::kSkeptical);
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_TRUE(b->vacuous);
+  EXPECT_EQ(b->yes, (std::vector<Binding>{{"c"}}));
+}
+
 TEST(TemplateProperty, CustomPartitionDisablesPruning) {
   // Under CCWA/ECWA with a custom partition, atoms outside every clause
   // can float (Z) — the clause-mentioned domain is no longer a sound
@@ -403,10 +438,9 @@ TEST(TemplateProperty, FaultInjectionNeverWrongAndNeverCached) {
       }
       // Every candidate not listed yes/unknown answered no — check none of
       // those is a reference yes.
-      DomainIndex idx = DomainIndex::Build(r.db());
       EnumerateOptions eo;
       eo.prune = false;
-      auto all = EnumerateBindings(*t, idx, eo);
+      auto all = Enumerate(r.db(), *t, eo);
       ASSERT_TRUE(all.ok());
       for (const Binding& b : *all) {
         if (!candidates.count(b) && !unknown.count(b) && ref.count(b)) {
