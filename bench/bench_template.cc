@@ -179,12 +179,8 @@ int Main(int argc, char** argv) {
 
         // Isolated leg: a fresh Reasoner per substitution — zero shared
         // state, the true per-instantiation baseline.
-        Reasoner probe(*db);
-        std::vector<std::string> universe;
-        const ground::TupleIndex idx =
-            ground::IndexDatabase(probe.db(), &universe);
         Result<std::vector<std::vector<std::string>>> bindings =
-            tmpl::EnumerateBindings(*t, idx, universe, {});
+            tmpl::EnumerateBindings(*t, ground::IndexDatabase(*db), {});
         if (!bindings.ok()) {
           Audit(false, bindings.status().ToString().c_str(), kind_name,
                 mode_name, cand);

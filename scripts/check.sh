@@ -29,7 +29,9 @@
 #  9b. template A/B: the first-order coloring3 workload replayed under
 #      --naive-templates (sequential per-instantiation evaluation) must
 #      emit byte-identical answer blocks to the batched default
-#      (docs/TEMPLATES.md equivalence contract)
+#      (docs/TEMPLATES.md equivalence contract); the file replayed twice
+#      in one run (warm index, warm cache) must print the cold output
+#      twice, batched and naive alike
 #  10. crash-recovery: a --batch run covering all eleven semantics with
 #      --cache-file is killed (kill -9 via _exit) at each
 #      DD_SNAPSHOT_CRASH_AT point mid-save; the restarted run must load
@@ -299,10 +301,27 @@ if [ -x "$QUERY_BIN" ]; then
       fi
     fi
   fi
+  # Warm replay: the file twice in one run. The second copy reuses the
+  # Reasoner's tuple index and the warm answer cache, and must print
+  # exactly what the cold first copy printed.
+  if [ "$TPL_FAILED" -eq 0 ]; then
+    cat "$TPL_Q" "$TPL_Q" >"$TPL_TMP/twice.queries"
+    cat "$TPL_TMP/batched.out" "$TPL_TMP/batched.out" >"$TPL_TMP/twice.want"
+    for flag in --threads=4 --naive-templates; do
+      if ! "$QUERY_BIN" --batch="$TPL_TMP/twice.queries" "$flag" "$TPL_PROG" \
+           >"$TPL_TMP/twice.out" 2>"$TPL_TMP/twice.err"; then
+        echo "template: warm replay ($flag) exited nonzero"
+        cat "$TPL_TMP/twice.err"; TPL_FAILED=1
+      elif ! diff -u "$TPL_TMP/twice.want" "$TPL_TMP/twice.out"; then
+        echo "template: warm replay ($flag) differs from the cold run"
+        TPL_FAILED=1
+      fi
+    done
+  fi
   if [ "$TPL_FAILED" -ne 0 ]; then
     FAILED=1
   else
-    echo "template: OK (batched == naive, relevance grounding answer-stable)"
+    echo "template: OK (batched == naive, relevance grounding answer-stable, warm == cold)"
   fi
   rm -rf "$TPL_TMP"
 else

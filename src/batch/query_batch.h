@@ -79,12 +79,16 @@
 namespace dd {
 namespace batch {
 
-/// One query of a batch, by text. Literal queries ("a", "not a") take the
-/// cheaper InfersLiteral fallback path; formula queries parse the full
-/// formula language.
+/// One query of a batch, by text. Literal queries ("a", "not a") parse
+/// as one literal; formula queries parse the full formula language.
+/// `formula`, when set, is the query pre-built over the answering
+/// Reasoner's vocabulary: the batch uses it as is and ignores `text` and
+/// `is_literal` (template instantiation builds queries this way; text
+/// stays the wire form everywhere else).
 struct BatchQuery {
   std::string text;
   bool is_literal = false;
+  Formula formula = nullptr;
 };
 
 /// Which direction a batch answers (see the header comment): skeptical

@@ -425,6 +425,15 @@ Result<Formula> Reasoner::ParseQueryFormula(std::string_view formula) {
   return f;
 }
 
+Var Reasoner::InternQueryAtom(const std::string& name) {
+  Vocabulary& voc = db_.vocabulary();
+  const Var known = voc.Find(name);
+  if (known != kInvalidVar) return known;
+  const Var v = voc.Intern(name);
+  InvalidateCaches();
+  return v;
+}
+
 Result<bool> Reasoner::InfersFormula(SemanticsKind kind,
                                      std::string_view formula) {
   DD_ASSIGN_OR_RETURN(Formula f, ParseQueryFormula(formula));
@@ -641,6 +650,14 @@ uint64_t Reasoner::fingerprint() {
   return *fingerprint_;
 }
 
+const ground::MentionIndex& Reasoner::mention_index(bool* built) {
+  if (built != nullptr) *built = !mention_index_.has_value();
+  if (!mention_index_.has_value()) {
+    mention_index_ = ground::IndexDatabase(db_);
+  }
+  return *mention_index_;
+}
+
 Result<batch::BatchAnswer> Reasoner::AnswerBatch(
     SemanticsKind kind, const std::vector<batch::BatchQuery>& queries,
     const batch::BatchOptions& bopts) {
@@ -658,12 +675,16 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
     const batch::BatchOptions& bopts, batch::BatchMode mode) {
   const bool brave = mode == batch::BatchMode::kBrave;
   // Parse everything up front (one vocabulary pass; fresh atoms invalidate
-  // engine caches exactly once, before any engine is built).
+  // engine caches exactly once, before any engine is built). Pre-built
+  // queries skip the parser; their atoms were interned when they were
+  // built, through InternQueryAtom.
   const int vars_before = db_.num_vars();
   std::vector<Formula> parsed;
   parsed.reserve(queries.size());
   for (const batch::BatchQuery& q : queries) {
-    if (q.is_literal) {
+    if (q.formula != nullptr) {
+      parsed.push_back(q.formula);  // pre-built over this vocabulary
+    } else if (q.is_literal) {
       DD_ASSIGN_OR_RETURN(Lit l, ParseLiteral(q.text, &db_.vocabulary()));
       parsed.push_back(FormulaNode::MakeLit(l));
     } else {

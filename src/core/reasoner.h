@@ -22,6 +22,7 @@
 #include "analysis/program_properties.h"
 #include "analysis/slicer.h"
 #include "batch/query_batch.h"
+#include "ground/join.h"
 #include "logic/database.h"
 #include "logic/parser.h"
 #include "minimal/pqz.h"
@@ -94,6 +95,12 @@ class Reasoner {
   /// with Get(kind)->InfersCredulously / FindCounterexample.
   Result<Formula> ParseQueryFormula(std::string_view formula);
 
+  /// The Var of the atom named `name`, interning it when fresh — the
+  /// parser-free twin of ParseQueryFormula for callers that build query
+  /// formulas directly (template instantiation, tmpl/template.h). Engines
+  /// are rebuilt when the vocabulary grows, exactly as after parsing.
+  Var InternQueryAtom(const std::string& name);
+
   Result<bool> HasModel(SemanticsKind kind);
 
   Result<std::vector<Interpretation>> Models(SemanticsKind kind,
@@ -165,6 +172,15 @@ class Reasoner {
   /// clauses are immutable for a reasoner's lifetime, and vocabulary
   /// growth from query parsing does not contribute.
   uint64_t fingerprint();
+
+  /// The atoms the database's clauses mention, as ground tuples, plus
+  /// their sorted constant universe (ground::IndexDatabase): what template
+  /// enumeration joins against. Built on the first call, never before, and
+  /// kept for the same reason as fingerprint(): clauses are immutable and
+  /// atoms a query interns are never clause-mentioned, so the index
+  /// survives InvalidateCaches(). `*built` (when given) is set to whether
+  /// this call built it.
+  const ground::MentionIndex& mention_index(bool* built = nullptr);
 
   /// The reasoner-owned answer cache (null until the first cached batch).
   batch::AnswerCache* answer_cache() { return answer_cache_.get(); }
@@ -309,6 +325,7 @@ class Reasoner {
   analysis::DispatchStats dispatch_stats_;
 
   std::optional<uint64_t> fingerprint_;
+  std::optional<ground::MentionIndex> mention_index_;
   std::unique_ptr<batch::AnswerCache> answer_cache_;
   std::unique_ptr<batch::ModelBankStore> bank_store_;
   /// Oracle work done by batch group engines (they are per-group

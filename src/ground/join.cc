@@ -43,8 +43,7 @@ const std::deque<Tuple>& TupleIndex::Tuples(const std::string& pred) const {
   return it == by_pred_.end() ? kNone : it->second.tuples;
 }
 
-TupleIndex IndexDatabase(const Database& db,
-                         std::vector<std::string>* universe) {
+MentionIndex IndexDatabase(const Database& db) {
   const Vocabulary& voc = db.vocabulary();
   std::vector<char> used(static_cast<size_t>(voc.size()), 0);
   for (const Clause& c : db.clauses()) {
@@ -52,7 +51,7 @@ TupleIndex IndexDatabase(const Database& db,
     for (Var v : c.pos_body()) used[v] = 1;
     for (Var v : c.neg_body()) used[v] = 1;
   }
-  TupleIndex idx;
+  MentionIndex out;
   std::set<std::string> constants;
   for (Var v = 0; v < voc.size(); ++v) {
     if (!used[v]) continue;
@@ -60,10 +59,10 @@ TupleIndex IndexDatabase(const Database& db,
     Tuple args;
     SplitAtomName(voc.Name(v), &pred, &args);
     constants.insert(args.begin(), args.end());
-    idx.Insert(pred, std::move(args));
+    out.tuples.Insert(pred, std::move(args));
   }
-  universe->assign(constants.begin(), constants.end());
-  return idx;
+  out.universe.assign(constants.begin(), constants.end());
+  return out;
 }
 
 Join::Join(const std::vector<PredAtom>& atoms, std::vector<std::string> vars)

@@ -42,13 +42,18 @@ class TupleIndex {
   int64_t size_ = 0;
 };
 
+/// A database's clause-mentioned atoms as tuples, plus the constants
+/// those tuples mention, sorted (the universe a join expands over).
+struct MentionIndex {
+  TupleIndex tuples;
+  std::vector<std::string> universe;
+};
+
 /// The atoms some clause of `db` mentions, split back from the grounder's
 /// "p(c1,c2)" names. A name without a well-formed argument list (none, or
 /// one with an empty argument such as "p()" or "p(a,,b)") is an arity-0
-/// atom under its full name. Sets `*universe` to the constants the tuples
-/// mention, sorted.
-TupleIndex IndexDatabase(const Database& db,
-                         std::vector<std::string>* universe);
+/// atom under its full name.
+MentionIndex IndexDatabase(const Database& db);
 
 /// A substitution: the constant bound to each of a join's variables, in
 /// the join's variable order (nullptr while unbound).

@@ -221,6 +221,8 @@ QueryServer::TemplateResult QueryServer::SubmitTemplate(
   std::lock_guard<std::mutex> eval(session->eval_mu);
 
   int64_t bank_reuses = 0;
+  int64_t first_rung_hits = 0;
+  int64_t first_rung_misses = 0;
   int rung_index = 0;
   bool have_answer = false;
   LadderResult lr = RunLadder(
@@ -248,6 +250,10 @@ QueryServer::TemplateResult QueryServer::SubmitTemplate(
         }
         have_answer = true;
         out.answer = *std::move(r);
+        if (rung_index == 0) {
+          first_rung_hits = out.answer.batch_stats.cache_hits;
+          first_rung_misses = out.answer.batch_stats.cache_misses;
+        }
         bank_reuses += out.answer.batch_stats.bank_store_hits;
         rung_span.Counter("bank_reuses", out.answer.batch_stats.bank_store_hits);
         rung_span.Counter("yes", static_cast<int64_t>(out.answer.yes.size()));
@@ -283,6 +289,8 @@ QueryServer::TemplateResult QueryServer::SubmitTemplate(
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.rungs += lr.rungs;
   stats_.escalations += lr.rungs - 1;
+  stats_.cache_hits += first_rung_hits;
+  stats_.cache_misses += first_rung_misses;
   stats_.bank_reuses += bank_reuses;
   if (!out.status.ok()) {
     ++stats_.errors;

@@ -97,7 +97,10 @@ struct ServeStats {
   int64_t admitted = 0;     ///< past the gate
   int64_t shed = 0;         ///< kUnavailable (queue full / shutdown)
   int64_t queued = 0;       ///< admitted after waiting
-  int64_t cache_hits = 0;   ///< served from the answer cache
+  /// Answer-cache lookups on a request's first rung. Misses count every
+  /// lookup; hits count a Submit request once, and every hit lookup of a
+  /// SubmitTemplate request's instantiations.
+  int64_t cache_hits = 0;
   int64_t cache_misses = 0;
   int64_t brave_requests = 0;   ///< Submit calls in brave/credulous mode
   int64_t template_requests = 0;  ///< SubmitTemplate calls (ANSWERS verb)

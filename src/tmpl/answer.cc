@@ -71,8 +71,9 @@ Result<TemplateAnswer> AnswerTemplate(Reasoner* r, SemanticsKind kind,
   out.vars = t.vars;
   out.stats.templates = 1;
 
-  std::vector<std::string> universe;
-  const ground::TupleIndex idx = ground::IndexDatabase(r->db(), &universe);
+  bool index_built = false;
+  const ground::MentionIndex& idx = r->mention_index(&index_built);
+  span.Counter("index_built", index_built ? 1 : 0);
 
   // Pruning gates (header comment): a custom CCWA/ECWA partition lets
   // unmentioned atoms float, and a model-free database makes skeptical
@@ -98,19 +99,22 @@ Result<TemplateAnswer> AnswerTemplate(Reasoner* r, SemanticsKind kind,
   eo.max_candidates = opts.max_candidates;
   eo.prune = prune;
   DD_ASSIGN_OR_RETURN(std::vector<std::vector<std::string>> bindings,
-                      EnumerateBindings(t, idx, universe, eo));
+                      EnumerateBindings(t, idx, eo));
   out.candidates = static_cast<int64_t>(bindings.size());
   out.stats.candidates = out.candidates;
   out.stats.full_space =
-      SaturatingPow(static_cast<int64_t>(universe.size()), t.vars.size());
+      SaturatingPow(static_cast<int64_t>(idx.universe.size()), t.vars.size());
   if (prune && out.stats.full_space > out.candidates) {
     out.stats.pruned = out.stats.full_space - out.candidates;
   }
 
+  // The batch takes pre-built queries; the sequential entry points of
+  // naive mode take text.
   std::vector<batch::BatchQuery> queries;
   queries.reserve(bindings.size());
   for (const std::vector<std::string>& b : bindings) {
-    queries.push_back(InstantiateQuery(t, b, mode));
+    queries.push_back(opts.naive ? InstantiateQuery(t, b, mode)
+                                 : BuildQuery(t, b, r));
   }
 
   std::vector<Trilean> verdicts;

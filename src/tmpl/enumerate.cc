@@ -17,8 +17,8 @@ int64_t SaturatingPow(int64_t base, size_t exp) {
 }
 
 Result<std::vector<std::vector<std::string>>> EnumerateBindings(
-    const Template& t, const ground::TupleIndex& idx,
-    const std::vector<std::string>& universe, const EnumerateOptions& opts) {
+    const Template& t, const ground::MentionIndex& idx,
+    const EnumerateOptions& opts) {
   if (t.vars.empty()) {
     // One ground candidate; answering it is the batch layer's job.
     return std::vector<std::vector<std::string>>{{}};
@@ -31,7 +31,7 @@ Result<std::vector<std::vector<std::string>>> EnumerateBindings(
   const ground::Join join(opts.prune ? t.pos : no_atoms, t.vars);
   std::set<std::vector<std::string>> out;  // sorted + deduplicated
   const bool within =
-      join.Run(idx, universe, [&](const ground::Binding& b) {
+      join.Run(idx.tuples, idx.universe, [&](const ground::Binding& b) {
         std::vector<std::string> binding;
         binding.reserve(b.size());
         for (const std::string* c : b) binding.push_back(*c);

@@ -9,7 +9,8 @@
 //
 // EnumerateBindings joins the template's positive conjuncts against the
 // ground tuples the database's clauses mention (ground::IndexDatabase,
-// with the grounder's own ground::Join) — relevance pruning that never
+// built once per Reasoner by Reasoner::mention_index, with the grounder's
+// own ground::Join) — relevance pruning that never
 // materializes the constant cross-product. The full-universe odometer
 // remains available (EnumerateOptions::prune = false) for the cases where
 // pruning is unsound; tmpl/answer.h owns that gate (docs/TEMPLATES.md
@@ -37,14 +38,14 @@ struct EnumerateOptions {
   bool prune = true;
 };
 
-/// The candidate bindings of `t` (each parallel to t.vars) over the index
-/// and universe ground::IndexDatabase reads from a database, sorted
+/// The candidate bindings of `t` (each parallel to t.vars) over the
+/// tuples and universe ground::IndexDatabase reads from a database, sorted
 /// lexicographically and deduplicated — a deterministic order independent
 /// of join order and thread count. A template with no variables has
 /// exactly one (empty) candidate.
 Result<std::vector<std::vector<std::string>>> EnumerateBindings(
-    const Template& t, const ground::TupleIndex& idx,
-    const std::vector<std::string>& universe, const EnumerateOptions& opts);
+    const Template& t, const ground::MentionIndex& idx,
+    const EnumerateOptions& opts);
 
 /// |universe|^exp, saturating at INT64_MAX (the pruning-denominator stat).
 int64_t SaturatingPow(int64_t base, size_t exp);

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "core/reasoner.h"
 #include "ground/parser.h"
 
 namespace dd {
@@ -76,55 +77,80 @@ Result<Template> ParseTemplate(std::string_view text) {
   return t;
 }
 
-std::string GroundAtomName(
-    const ground::PredAtom& atom,
-    const std::unordered_map<std::string, std::string>& subst) {
-  if (atom.args.empty()) return atom.predicate;
-  std::string name = atom.predicate + "(";
-  for (size_t i = 0; i < atom.args.size(); ++i) {
-    if (i) name += ",";
-    const ground::Term& t = atom.args[i];
-    if (t.is_variable) {
-      name += subst.at(t.name);
-    } else {
-      name += t.name;
+namespace {
+
+/// The ground name of `a` under `binding` (parallel to t.vars).
+std::string InstanceName(const Template& t, const ground::PredAtom& a,
+                         const std::vector<std::string>& binding) {
+  if (a.args.empty()) return a.predicate;
+  std::string name = a.predicate;
+  name += '(';
+  for (size_t i = 0; i < a.args.size(); ++i) {
+    if (i) name += ',';
+    const ground::Term& term = a.args[i];
+    if (!term.is_variable) {
+      name += term.name;
+      continue;
     }
+    size_t v = 0;
+    while (t.vars[v] != term.name) ++v;
+    name += binding[v];
   }
-  name += ")";
+  name += ')';
   return name;
 }
+
+}  // namespace
 
 batch::BatchQuery InstantiateQuery(const Template& t,
                                    const std::vector<std::string>& binding,
                                    batch::BatchMode mode) {
-  std::unordered_map<std::string, std::string> subst;
-  for (size_t i = 0; i < t.vars.size(); ++i) subst[t.vars[i]] = binding[i];
-  // Skeptical single-conjunct templates take the literal fast lane; brave
+  // Skeptical single-conjunct templates take the literal lane; brave
   // batches disjunct-split formulas, so they always get formula text.
-  if (mode == batch::BatchMode::kSkeptical && t.neg.empty() &&
-      t.pos.size() == 1) {
-    return batch::BatchQuery{GroundAtomName(t.pos[0], subst), true};
-  }
-  if (mode == batch::BatchMode::kSkeptical && t.pos.empty() &&
-      t.neg.size() == 1) {
+  if (mode == batch::BatchMode::kSkeptical &&
+      t.pos.size() + t.neg.size() == 1) {
+    if (!t.pos.empty()) {
+      return batch::BatchQuery{InstanceName(t, t.pos[0], binding), true};
+    }
     // Build with += rather than `"not " + <temporary>`: GCC 12's -Wrestrict
     // false-positives on operator+(const char*, string&&) under -O2 (PR
     // 105329) and the release leg compiles with -Werror.
     std::string lit = "not ";
-    lit += GroundAtomName(t.neg[0], subst);
+    lit += InstanceName(t, t.neg[0], binding);
     return batch::BatchQuery{std::move(lit), true};
   }
   std::string f;
   for (const ground::PredAtom& a : t.pos) {
     if (!f.empty()) f += " & ";
-    f += GroundAtomName(a, subst);
+    f += InstanceName(t, a, binding);
   }
   for (const ground::PredAtom& a : t.neg) {
     if (!f.empty()) f += " & ";
     f += '~';
-    f += GroundAtomName(a, subst);
+    f += InstanceName(t, a, binding);
   }
   return batch::BatchQuery{std::move(f), false};
+}
+
+batch::BatchQuery BuildQuery(const Template& t,
+                             const std::vector<std::string>& binding,
+                             Reasoner* r) {
+  // Atoms resolve in the text's left-to-right order, so fresh ones get
+  // the Vars the parser would have given them.
+  std::vector<Formula> conjuncts;
+  conjuncts.reserve(t.pos.size() + t.neg.size());
+  for (const ground::PredAtom& a : t.pos) {
+    conjuncts.push_back(
+        FormulaNode::MakeAtom(r->InternQueryAtom(InstanceName(t, a, binding))));
+  }
+  for (const ground::PredAtom& a : t.neg) {
+    conjuncts.push_back(FormulaNode::MakeNot(FormulaNode::MakeAtom(
+        r->InternQueryAtom(InstanceName(t, a, binding)))));
+  }
+  // MakeAnd of one conjunct is that conjunct: the literal lane's shape.
+  batch::BatchQuery q;
+  q.formula = FormulaNode::MakeAnd(std::move(conjuncts));
+  return q;
 }
 
 }  // namespace tmpl

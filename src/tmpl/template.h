@@ -23,7 +23,6 @@
 
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "batch/query_batch.h"
@@ -31,6 +30,9 @@
 #include "util/status.h"
 
 namespace dd {
+
+class Reasoner;
+
 namespace tmpl {
 
 /// A parsed template: positive and negated conjuncts plus the free
@@ -53,21 +55,28 @@ struct Template {
 /// would depend on the universe, not the database.
 Result<Template> ParseTemplate(std::string_view text);
 
-/// The ground propositional atom name "p(c1,c2)" of `atom` under `subst`
-/// (bare predicate name for arity 0) — byte-identical to the names the
-/// grounder interns, which is what lets instantiated queries hit the
-/// grounded database's vocabulary.
-std::string GroundAtomName(
-    const ground::PredAtom& atom,
-    const std::unordered_map<std::string, std::string>& subst);
-
 /// Compiles one candidate binding (parallel to t.vars) into a batch
-/// query. Single positive conjuncts become literal queries in skeptical
+/// query, by text. Single conjuncts become literal queries in skeptical
 /// mode (the cheaper InfersLiteral path); everything else renders as a
-/// conjunction formula "p(a) & ~q(b)".
+/// conjunction formula "p(a) & ~q(b)". Atom names are "p(c1,c2)" (the bare
+/// predicate for arity 0), byte-identical to the names the grounder
+/// interns, which is what lets instantiated queries hit the grounded
+/// database's vocabulary. The sequential entry points (naive mode) take
+/// this form.
 batch::BatchQuery InstantiateQuery(const Template& t,
                                    const std::vector<std::string>& binding,
                                    batch::BatchMode mode);
+
+/// The same query as InstantiateQuery in either mode, pre-built as a
+/// Formula over r's vocabulary (BatchQuery::formula, no text), so
+/// AnswerBatch skips the parser. Atoms resolve through
+/// Reasoner::InternQueryAtom: an atom no clause mentions is interned, and
+/// r's engines rebuilt, exactly as parsing the text would. The formula has
+/// the parsed text's shape, so batch::Canonicalize gives both one key and
+/// the answer cache one entry.
+batch::BatchQuery BuildQuery(const Template& t,
+                             const std::vector<std::string>& binding,
+                             Reasoner* r);
 
 }  // namespace tmpl
 }  // namespace dd

@@ -13,6 +13,7 @@
 #include "batch/answer_cache.h"
 #include "core/reasoner.h"
 #include "gtest/gtest.h"
+#include "obs/trace.h"
 #include "sat/fault.h"
 #include "serve/request_gate.h"
 #include "serve/retry_ladder.h"
@@ -759,6 +760,73 @@ TEST(ServeProtocol, AnswersVerb) {
   EXPECT_EQ(server.stats().brave_requests, 1);
   EXPECT_EQ(server.ExitCode(), 0);
   EXPECT_FALSE(quit);
+}
+
+TEST(ServeProtocol, AnswersCountsCacheHitsInStats) {
+  // Template reads count their first rung's cache lookups, one per
+  // instantiation: the repeat answers both p(a) and p(b) from the cache.
+  QueryServer server(Db("p(a). p(b) | q(b)."), ServeOptions{});
+  bool quit = false;
+  EXPECT_EQ(server.HandleLine("ANSWERS gcwa skeptical p(X)", &quit),
+            "ANSWERS yes=1 unknown=0 candidates=2 rungs=1 X=a");
+  EXPECT_EQ(server.stats().cache_hits, 0);
+  EXPECT_EQ(server.stats().cache_misses, 2);
+  EXPECT_EQ(server.HandleLine("ANSWERS gcwa skeptical p(X)", &quit),
+            "ANSWERS yes=1 unknown=0 candidates=2 rungs=1 X=a");
+  const std::string stats = server.HandleLine("STATS", &quit);
+  EXPECT_NE(stats.find("\"dd.serve.cache_hits\": 2"), std::string::npos)
+      << stats;
+  EXPECT_NE(stats.find("\"dd.serve.cache_misses\": 2"), std::string::npos)
+      << stats;
+}
+
+TEST(ServeProtocol, AnswersSharesCacheEntriesWithGroundReads) {
+  // A template read and a ground read of one of its instantiations
+  // canonicalize to the same key, so the ground read is a cache hit.
+  QueryServer server(Db("p(a). p(b) | q(b)."), ServeOptions{});
+  bool quit = false;
+  EXPECT_EQ(server.HandleLine("ANSWERS gcwa skeptical p(X)", &quit),
+            "ANSWERS yes=1 unknown=0 candidates=2 rungs=1 X=a");
+  EXPECT_EQ(server.HandleLine("QUERY gcwa lit p(a)", &quit),
+            "ANSWER yes rungs=1 cached=1");
+  EXPECT_EQ(server.HandleLine("ANSWERS gcwa skeptical p(X), not q(X)", &quit),
+            "ANSWERS yes=1 unknown=0 candidates=2 rungs=1 X=a");
+  EXPECT_EQ(server.HandleLine("QUERY gcwa infer p(b) & ~q(b)", &quit),
+            "ANSWER no rungs=1 cached=1");
+  EXPECT_EQ(server.HandleLine("ANSWERS gcwa brave p(X)", &quit),
+            "ANSWERS yes=2 unknown=0 candidates=2 rungs=1 X=a X=b");
+  EXPECT_EQ(server.HandleLine("BRAVE gcwa p(b)", &quit),
+            "ANSWER yes rungs=1 cached=1");
+}
+
+TEST(QueryServerTest, TemplateIndexBuiltOncePerSessionAcrossRungs) {
+  // Every rung of every template request on one session reuses the
+  // index its Reasoner built on the first; a reload's fresh Reasoner
+  // builds its own.
+  obs::TraceContext trace;
+  ServeOptions opts;
+  opts.retry.max_rungs = 3;
+  opts.trace = &trace;
+  QueryServer server(Db("p(a). p(b) | q(b). r(a) :- p(a)."), opts);
+  int64_t rungs = 0;
+  {
+    sat::FaultPlan plan;
+    plan.unknown_at = 1;
+    sat::ScopedFaultPlan faulty(plan);
+    rungs += server.SubmitTemplate(SemanticsKind::kGcwa, "p(X)").rungs;
+  }
+  rungs += server.SubmitTemplate(SemanticsKind::kGcwa, "r(X)",
+                                 batch::BatchMode::kBrave).rungs;
+  int64_t calls = 0;
+  for (const obs::Span& sp : trace.Snapshot()) {
+    calls += sp.name == "tmpl_answers" ? 1 : 0;
+  }
+  EXPECT_EQ(calls, rungs);
+  EXPECT_GT(rungs, 2);  // the injected fault escalated the first request
+  EXPECT_EQ(trace.SumCounter("index_built", "tmpl"), 1);
+  ASSERT_TRUE(server.Reload(Db("p(a). p(b) | q(b). r(a) :- p(a).")).ok());
+  EXPECT_TRUE(server.SubmitTemplate(SemanticsKind::kGcwa, "p(X)").status.ok());
+  EXPECT_EQ(trace.SumCounter("index_built", "tmpl"), 2);
 }
 
 TEST(QueryServerTest, SubmitTemplateMatchesSequentialSubmits) {

@@ -5,8 +5,12 @@
 // across all 11 semantics, both modes, every thread count, with the
 // pruning soundness gates (custom partition, model-free database)
 // exercised and a fault-injection sweep pinning "unknown is allowed,
-// wrong is not".
+// wrong is not". The pre-built query path is pinned three ways: its cache
+// keys equal the parsed text's, instantiations over atoms no clause
+// mentions answer like naive mode, and each Reasoner builds its tuple
+// index once.
 #include <functional>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -17,6 +21,7 @@
 #include "core/reasoner.h"
 #include "ground/join.h"
 #include "gtest/gtest.h"
+#include "obs/trace.h"
 #include "sat/fault.h"
 #include "tests/test_util.h"
 #include "tmpl/answer.h"
@@ -29,9 +34,9 @@ namespace {
 using dd::testing::Db;
 using tmpl::AnswerTemplate;
 using tmpl::AnswerTemplateText;
+using tmpl::BuildQuery;
 using tmpl::EnumerateBindings;
 using tmpl::EnumerateOptions;
-using tmpl::GroundAtomName;
 using tmpl::InstantiateQuery;
 using tmpl::ParseTemplate;
 using tmpl::SaturatingPow;
@@ -49,6 +54,19 @@ const SemanticsKind kAllKinds[] = {
     SemanticsKind::kDsm,  SemanticsKind::kPdsm,
 };
 
+/// The grounder's name "p(c1,c2)" of `atom` under `subst`.
+std::string AtomName(const ground::PredAtom& atom,
+                     const std::unordered_map<std::string, std::string>& subst) {
+  if (atom.args.empty()) return atom.predicate;
+  std::string name = atom.predicate + "(";
+  for (size_t i = 0; i < atom.args.size(); ++i) {
+    if (i) name += ",";
+    const ground::Term& t = atom.args[i];
+    name += t.is_variable ? subst.at(t.name) : t.name;
+  }
+  return name + ")";
+}
+
 /// Renders one instantiation as a plain conjunction formula — NOT via
 /// InstantiateQuery, so the reference path shares no compilation code
 /// with the subsystem under test.
@@ -58,12 +76,12 @@ std::string InstanceFormula(const Template& t, const Binding& b) {
   std::string f;
   for (const auto& a : t.pos) {
     if (!f.empty()) f += " & ";
-    f += GroundAtomName(a, subst);
+    f += AtomName(a, subst);
   }
   for (const auto& a : t.neg) {
     if (!f.empty()) f += " & ";
     f += '~';  // += not `"~" + <temporary>`: GCC 12 -Wrestrict (PR 105329)
-    f += GroundAtomName(a, subst);
+    f += AtomName(a, subst);
   }
   return f;
 }
@@ -71,9 +89,7 @@ std::string InstanceFormula(const Template& t, const Binding& b) {
 /// EnumerateBindings over the index and universe read from `db`.
 Result<std::vector<Binding>> Enumerate(const Database& db, const Template& t,
                                        const EnumerateOptions& eo) {
-  std::vector<std::string> universe;
-  ground::TupleIndex idx = ground::IndexDatabase(db, &universe);
-  return EnumerateBindings(t, idx, universe, eo);
+  return EnumerateBindings(t, ground::IndexDatabase(db), eo);
 }
 
 /// Independent reference: every full-universe instantiation evaluated
@@ -124,6 +140,31 @@ std::optional<BindingSet> BruteForceYes(
 
 BindingSet ToSet(const std::vector<Binding>& rows) {
   return BindingSet(rows.begin(), rows.end());
+}
+
+/// For every full-universe instantiation of `t` (a superset of the
+/// candidates AnswerTemplate compiles): the pre-built query and the parsed
+/// InstantiateQuery text canonicalize to one key, so the answer cache and
+/// its DDCACHE1 snapshots hold one entry for a template read and a ground
+/// read of the same instance.
+void ExpectPrebuiltKeysMatchText(Reasoner* r, const Template& t,
+                                 batch::BatchMode mode,
+                                 const std::string& where) {
+  EnumerateOptions eo;
+  eo.prune = false;
+  auto bindings = Enumerate(r->db(), t, eo);
+  ASSERT_TRUE(bindings.ok()) << bindings.status().ToString();
+  for (const Binding& b : *bindings) {
+    const batch::BatchQuery text = InstantiateQuery(t, b, mode);
+    const batch::BatchQuery built = BuildQuery(t, b, r);
+    ASSERT_NE(built.formula, nullptr) << where;
+    EXPECT_TRUE(built.text.empty()) << where;
+    auto parsed = r->ParseQueryFormula(text.text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(batch::Canonicalize(built.formula, r->db().vocabulary()).key,
+              batch::Canonicalize(*parsed, r->db().vocabulary()).key)
+        << where << " " << text.text;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -193,8 +234,8 @@ std::vector<Binding> Rows(const ground::TupleIndex& idx, const char* pred) {
 
 TEST(Enumerate, IndexDatabaseCollectsMentionedTuples) {
   Database db = Db("p(a). q(a,b) | p(b). r. s(). s(a,,c).");
-  std::vector<std::string> universe;
-  ground::TupleIndex idx = ground::IndexDatabase(db, &universe);
+  const ground::MentionIndex mention = ground::IndexDatabase(db);
+  const ground::TupleIndex& idx = mention.tuples;
   EXPECT_EQ(Rows(idx, "p"), (std::vector<Binding>{{"a"}, {"b"}}));
   EXPECT_EQ(Rows(idx, "q"), (std::vector<Binding>{{"a", "b"}}));
   // Bare propositional atoms are arity-0 predicates with one empty tuple.
@@ -204,7 +245,7 @@ TEST(Enumerate, IndexDatabaseCollectsMentionedTuples) {
   EXPECT_TRUE(Rows(idx, "s").empty());
   EXPECT_EQ(Rows(idx, "s()"), (std::vector<Binding>{{}}));
   EXPECT_EQ(Rows(idx, "s(a,,c)"), (std::vector<Binding>{{}}));
-  EXPECT_EQ(universe, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(mention.universe, (std::vector<std::string>{"a", "b"}));
 }
 
 TEST(Enumerate, JoinBindsConstantsAndSharedVariables) {
@@ -308,6 +349,10 @@ TEST(TemplateProperty, BatchedMatchesBruteForceAcrossAllSemantics) {
               << " threads=" << threads;
           if (threads == 1) {
             first = ToSet(a->yes);
+            ExpectPrebuiltKeysMatchText(
+                &r, *t, mode,
+                std::string(c.tmpl) + " " + SemanticsKindName(kind) +
+                    (brave ? " brave" : " skeptical"));
           } else {
             EXPECT_EQ(ToSet(a->yes), first) << "thread variance";
           }
@@ -473,6 +518,170 @@ TEST(TemplateProperty, RepeatAnswersFromCache) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(ToSet(second->yes), ToSet(first->yes));
   EXPECT_GT(second->batch_stats.cache_hits, 0);
+}
+
+TEST(TemplateCompile, PrebuiltQueryHasTheParsedShape) {
+  Reasoner r(Db("p(a). q(b)."));
+  auto t = ParseTemplate("p(X), not q(X)");
+  ASSERT_TRUE(t.ok());
+  batch::BatchQuery q = BuildQuery(*t, {"a"}, &r);
+  ASSERT_NE(q.formula, nullptr);
+  EXPECT_EQ(batch::Canonicalize(q.formula, r.db().vocabulary()).key,
+            "&(!(a(q(a))),a(p(a)))");
+  // q(a) is mentioned by no clause: it was interned, as parsing would.
+  EXPECT_NE(r.db().vocabulary().Find("q(a)"), kInvalidVar);
+  auto lit = ParseTemplate("p(X)");
+  ASSERT_TRUE(lit.ok());
+  // One conjunct is the bare literal, as ParseLiteral gives it.
+  batch::BatchQuery l = BuildQuery(*lit, {"a"}, &r);
+  ASSERT_EQ(l.formula->kind(), FormulaKind::kAtom);
+  EXPECT_EQ(r.db().vocabulary().Name(l.formula->atom()), "p(a)");
+}
+
+// ---------------------------------------------------------------------------
+// Atoms no clause mentions, and the per-Reasoner index
+// ---------------------------------------------------------------------------
+
+struct FreshCase {
+  const char* program;
+  const char* tmpl;
+  bool partition;  ///< SetPartition({"p(a)"}, {}, {}, 'z') first
+};
+
+// Every case interns atoms no clause mentions on some semantics.
+const FreshCase kFreshCases[] = {
+    // Negated conjuncts over constants no clause pairs with s / q.
+    {"p(a). p(b) | q(b). r(c).", "p(X), not s(X)", false},
+    {"p(a). p(b) | q(b).", "p(X), not q(X)", false},
+    // A custom partition: CCWA/ECWA run the unpruned odometer (q(b)).
+    {"p(a) | q(a). r(b).", "q(X)", true},
+    {"p(a) | q(a). r(b).", "q(X), not p(X)", true},
+    // No intended model: skeptical inference is vacuous over the full
+    // universe (q(a)).
+    {"p(a). q(b). :- p(a).", "q(X)", false},
+};
+
+/// A Reasoner over `c.program`, configured as the case says.
+std::unique_ptr<Reasoner> FreshReasoner(const FreshCase& c) {
+  auto r = std::make_unique<Reasoner>(Db(c.program));
+  if (c.partition) {
+    EXPECT_TRUE(r->SetPartition({"p(a)"}, {}, {}, 'z').ok());
+  }
+  return r;
+}
+
+/// `got` (pre-built batch path) answers exactly like `want` (naive).
+void ExpectSameAnswer(const Result<TemplateAnswer>& got,
+                      const Result<TemplateAnswer>& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.ok(), want.ok())
+      << where << ": " << got.status().ToString() << " vs "
+      << want.status().ToString();
+  if (!got.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code()) << where;
+    return;
+  }
+  EXPECT_EQ(got->yes, want->yes) << where;
+  EXPECT_EQ(got->unknown, want->unknown) << where;
+  EXPECT_EQ(got->candidates, want->candidates) << where;
+  EXPECT_EQ(got->vacuous, want->vacuous) << where;
+}
+
+TEST(TemplateFresh, PrebuiltPathAnswersLikeNaiveOnFreshAtoms) {
+  int grew = 0;
+  for (const FreshCase& c : kFreshCases) {
+    auto t = ParseTemplate(c.tmpl);
+    ASSERT_TRUE(t.ok()) << c.tmpl;
+    for (SemanticsKind kind : kAllKinds) {
+      for (batch::BatchMode mode :
+           {batch::BatchMode::kSkeptical, batch::BatchMode::kBrave}) {
+        const std::string where =
+            std::string(c.program) + " | " + c.tmpl + " " +
+            SemanticsKindName(kind) +
+            (mode == batch::BatchMode::kBrave ? " brave" : " skeptical");
+        std::unique_ptr<Reasoner> built = FreshReasoner(c);
+        const int vars_before = built->db().num_vars();
+        auto got = AnswerTemplate(built.get(), kind, *t, mode);
+        if (built->db().num_vars() > vars_before) ++grew;
+        std::unique_ptr<Reasoner> naive = FreshReasoner(c);
+        TemplateOptions nopts;
+        nopts.naive = true;
+        ExpectSameAnswer(got, AnswerTemplate(naive.get(), kind, *t, mode, nopts),
+                         where);
+      }
+    }
+  }
+  // The pre-built path did intern fresh atoms (not just known ones).
+  EXPECT_GT(grew, 0);
+}
+
+TEST(TemplateFresh, FreshLiteralBetweenTemplateCalls) {
+  // A sequential query interning a fresh atom between two template calls
+  // grows the vocabulary (and regrows a custom partition) under the
+  // Reasoner's kept index; the second call must still answer like naive
+  // and must not trip the partition's size invariant.
+  for (const FreshCase& c : kFreshCases) {
+    auto t = ParseTemplate(c.tmpl);
+    ASSERT_TRUE(t.ok());
+    for (SemanticsKind kind : kAllKinds) {
+      const std::string where = std::string(c.program) + " | " + c.tmpl +
+                                " " + SemanticsKindName(kind);
+      std::unique_ptr<Reasoner> built = FreshReasoner(c);
+      std::unique_ptr<Reasoner> naive = FreshReasoner(c);
+      TemplateOptions nopts;
+      nopts.naive = true;
+      for (int round = 0; round < 2; ++round) {
+        ExpectSameAnswer(
+            AnswerTemplate(built.get(), kind, *t,
+                           batch::BatchMode::kSkeptical),
+            AnswerTemplate(naive.get(), kind, *t,
+                           batch::BatchMode::kSkeptical, nopts),
+            where + " round " + std::to_string(round));
+        const std::string fresh = "not zz" + std::to_string(round) + "(a)";
+        auto v = built->InfersLiteral(kind, fresh, QueryOptions{});
+        auto w = naive->InfersLiteral(kind, fresh, QueryOptions{});
+        ASSERT_EQ(v.ok(), w.ok()) << where;
+        if (v.ok()) {
+          EXPECT_EQ(*v, *w) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(TemplateIndex, BuiltOncePerReasoner) {
+  obs::TraceContext trace;
+  TemplateOptions topts;
+  topts.batch.trace = &trace;
+  const char* kProgram = "p(a). p(b) | q(b). r(a) :- p(a).";
+  Reasoner r(Db(kProgram));
+  for (bool naive : {false, true}) {
+    topts.naive = naive;
+    for (const char* text : {"p(X)", "p(X), not q(X)", "r(X)"}) {
+      for (batch::BatchMode mode :
+           {batch::BatchMode::kSkeptical, batch::BatchMode::kBrave}) {
+        auto a = AnswerTemplateText(&r, SemanticsKind::kGcwa, text, mode,
+                                    topts);
+        ASSERT_TRUE(a.ok()) << a.status().ToString();
+      }
+    }
+  }
+  std::vector<int64_t> built;
+  for (const obs::Span& sp : trace.Snapshot()) {
+    if (sp.name == "tmpl_answers") built.push_back(sp.Counter("index_built"));
+  }
+  ASSERT_EQ(built.size(), 12u);
+  EXPECT_EQ(built.front(), 1);  // the first call builds it...
+  EXPECT_EQ(trace.SumCounter("index_built", "tmpl"), 1);  // ...and only it
+  // A second Reasoner builds its own.
+  Reasoner other(Db(kProgram));
+  ASSERT_TRUE(AnswerTemplateText(&other, SemanticsKind::kEgcwa, "p(X)",
+                                 batch::BatchMode::kSkeptical, topts)
+                  .ok());
+  EXPECT_EQ(trace.SumCounter("index_built", "tmpl"), 2);
+  // The index is the clause-mentioned one, whatever the queries interned.
+  EXPECT_EQ(r.mention_index().universe,
+            ground::IndexDatabase(Db(kProgram)).universe);
 }
 
 TEST(TemplateFormat, AnswerBlockGolden) {
