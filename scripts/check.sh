@@ -26,12 +26,13 @@
 #      through the interactive loop; the answer streams must be
 #      identical (docs/BATCHING.md determinism contract). First-order
 #      programs (.fodb) join via the grounder auto-detect.
-#  9b. template A/B: the first-order coloring3 workload replayed under
-#      --naive-templates (sequential per-instantiation evaluation) must
-#      emit byte-identical answer blocks to the batched default
-#      (docs/TEMPLATES.md equivalence contract); the file replayed twice
-#      in one run (warm index, warm cache) must print the cold output
-#      twice, batched and naive alike
+#  9b. template A/B: the first-order coloring3 and reach (recursive)
+#      workloads replayed under --naive-templates (sequential
+#      per-instantiation evaluation) must emit byte-identical answer
+#      blocks to the batched default (docs/TEMPLATES.md equivalence
+#      contract), and the same answer lines under --ground-relevance; each
+#      file replayed twice in one run (warm index, warm cache) must print
+#      the cold output twice, batched and naive alike
 #  10. crash-recovery: a --batch run covering all eleven semantics with
 #      --cache-file is killed (kill -9 via _exit) at each
 #      DD_SNAPSHOT_CRASH_AT point mid-save; the restarted run must load
@@ -267,57 +268,63 @@ echo "===== template A/B (batched vs --naive-templates) ====="
 if [ -x "$QUERY_BIN" ]; then
   TPL_TMP="$(mktemp -d)"
   TPL_FAILED=0
-  TPL_PROG=examples/programs/coloring3.fodb
-  TPL_Q=examples/programs/coloring3.queries
-  # Batched default: every template's instantiations share one AnswerBatch
-  # call (bank + cache). Naive flag: the sequential single-query entry
-  # points. The answer blocks must be byte-identical — including the
-  # candidate counts, so grounding must match too.
-  if ! "$QUERY_BIN" --batch="$TPL_Q" --threads=4 "$TPL_PROG" \
-       >"$TPL_TMP/batched.out" 2>"$TPL_TMP/batched.err"; then
-    echo "template: batched run exited nonzero"
-    cat "$TPL_TMP/batched.err"; TPL_FAILED=1
-  elif ! "$QUERY_BIN" --batch="$TPL_Q" --naive-templates "$TPL_PROG" \
-       >"$TPL_TMP/naive.out" 2>"$TPL_TMP/naive.err"; then
-    echo "template: --naive-templates run exited nonzero"
-    cat "$TPL_TMP/naive.err"; TPL_FAILED=1
-  elif ! diff -u "$TPL_TMP/batched.out" "$TPL_TMP/naive.out"; then
-    echo "template: batched/naive answers differ"; TPL_FAILED=1
-  fi
-  # Relevance-filtered grounding must keep every answer (candidate counts
-  # legitimately shrink, so compare the answer lines only). The leg runs
-  # without budgets, so an unknown line on either side is a change too.
-  if [ "$TPL_FAILED" -eq 0 ]; then
-    if ! "$QUERY_BIN" --batch="$TPL_Q" --ground-relevance "$TPL_PROG" \
-         >"$TPL_TMP/relevance.out" 2>&1; then
-      echo "template: --ground-relevance run exited nonzero"; TPL_FAILED=1
-    else
-      grep -E '^(answer:|unknown|yes|no)' "$TPL_TMP/batched.out" \
-        >"$TPL_TMP/full.ans"
-      grep -E '^(answer:|unknown|yes|no)' "$TPL_TMP/relevance.out" \
-        >"$TPL_TMP/rel.ans"
-      if ! diff -u "$TPL_TMP/full.ans" "$TPL_TMP/rel.ans"; then
-        echo "template: --ground-relevance changed the answers"; TPL_FAILED=1
+  # The coloring workload and the recursive reachability program (its
+  # relevance grounding runs semi-naive rounds through a non-linear rule).
+  for TPL_PROG in examples/programs/coloring3.fodb \
+                  examples/programs/reach.fodb; do
+    TPL_Q="${TPL_PROG%.fodb}.queries"
+    # Batched default: every template's instantiations share one AnswerBatch
+    # call (bank + cache). Naive flag: the sequential single-query entry
+    # points. The answer blocks must be byte-identical — including the
+    # candidate counts, so grounding must match too.
+    if ! "$QUERY_BIN" --batch="$TPL_Q" --threads=4 "$TPL_PROG" \
+         >"$TPL_TMP/batched.out" 2>"$TPL_TMP/batched.err"; then
+      echo "template: $TPL_PROG batched run exited nonzero"
+      cat "$TPL_TMP/batched.err"; TPL_FAILED=1
+    elif ! "$QUERY_BIN" --batch="$TPL_Q" --naive-templates "$TPL_PROG" \
+         >"$TPL_TMP/naive.out" 2>"$TPL_TMP/naive.err"; then
+      echo "template: $TPL_PROG --naive-templates run exited nonzero"
+      cat "$TPL_TMP/naive.err"; TPL_FAILED=1
+    elif ! diff -u "$TPL_TMP/batched.out" "$TPL_TMP/naive.out"; then
+      echo "template: $TPL_PROG batched/naive answers differ"; TPL_FAILED=1
+    fi
+    # Relevance-filtered grounding must keep every answer (candidate counts
+    # legitimately shrink, so compare the answer lines only). The leg runs
+    # without budgets, so an unknown line on either side is a change too.
+    if [ "$TPL_FAILED" -eq 0 ]; then
+      if ! "$QUERY_BIN" --batch="$TPL_Q" --ground-relevance "$TPL_PROG" \
+           >"$TPL_TMP/relevance.out" 2>&1; then
+        echo "template: $TPL_PROG --ground-relevance run exited nonzero"
+          TPL_FAILED=1
+      else
+        grep -E '^(answer:|unknown|yes|no)' "$TPL_TMP/batched.out" \
+          >"$TPL_TMP/full.ans"
+        grep -E '^(answer:|unknown|yes|no)' "$TPL_TMP/relevance.out" \
+          >"$TPL_TMP/rel.ans"
+        if ! diff -u "$TPL_TMP/full.ans" "$TPL_TMP/rel.ans"; then
+          echo "template: $TPL_PROG --ground-relevance changed the answers"
+            TPL_FAILED=1
+        fi
       fi
     fi
-  fi
-  # Warm replay: the file twice in one run. The second copy reuses the
-  # Reasoner's tuple index and the warm answer cache, and must print
-  # exactly what the cold first copy printed.
-  if [ "$TPL_FAILED" -eq 0 ]; then
-    cat "$TPL_Q" "$TPL_Q" >"$TPL_TMP/twice.queries"
-    cat "$TPL_TMP/batched.out" "$TPL_TMP/batched.out" >"$TPL_TMP/twice.want"
-    for flag in --threads=4 --naive-templates; do
-      if ! "$QUERY_BIN" --batch="$TPL_TMP/twice.queries" "$flag" "$TPL_PROG" \
-           >"$TPL_TMP/twice.out" 2>"$TPL_TMP/twice.err"; then
-        echo "template: warm replay ($flag) exited nonzero"
-        cat "$TPL_TMP/twice.err"; TPL_FAILED=1
-      elif ! diff -u "$TPL_TMP/twice.want" "$TPL_TMP/twice.out"; then
-        echo "template: warm replay ($flag) differs from the cold run"
-        TPL_FAILED=1
-      fi
-    done
-  fi
+    # Warm replay: the file twice in one run. The second copy reuses the
+    # Reasoner's tuple index and the warm answer cache, and must print
+    # exactly what the cold first copy printed.
+    if [ "$TPL_FAILED" -eq 0 ]; then
+      cat "$TPL_Q" "$TPL_Q" >"$TPL_TMP/twice.queries"
+      cat "$TPL_TMP/batched.out" "$TPL_TMP/batched.out" >"$TPL_TMP/twice.want"
+      for flag in --threads=4 --naive-templates; do
+        if ! "$QUERY_BIN" --batch="$TPL_TMP/twice.queries" "$flag" "$TPL_PROG" \
+             >"$TPL_TMP/twice.out" 2>"$TPL_TMP/twice.err"; then
+          echo "template: $TPL_PROG warm replay ($flag) exited nonzero"
+          cat "$TPL_TMP/twice.err"; TPL_FAILED=1
+        elif ! diff -u "$TPL_TMP/twice.want" "$TPL_TMP/twice.out"; then
+          echo "template: $TPL_PROG warm replay ($flag) differs from the cold run"
+          TPL_FAILED=1
+        fi
+      done
+    fi
+  done
   if [ "$TPL_FAILED" -ne 0 ]; then
     FAILED=1
   else

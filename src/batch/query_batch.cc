@@ -106,15 +106,28 @@ std::optional<Lit> AsLiteral(const Formula& f) {
   return std::nullopt;
 }
 
+/// Appends every atom occurrence of `f` to `out`.
+void CollectVars(const Formula& f, std::vector<Var>* out) {
+  if (f->kind() == FormulaKind::kAtom) {
+    out->push_back(f->atom());
+    return;
+  }
+  for (const Formula& c : f->children()) CollectVars(c, out);
+}
+
 }  // namespace
 
 CanonicalQuery Canonicalize(const Formula& f, const Vocabulary& voc) {
+  return CanonicalizeSimplified(Simplify(f), voc);
+}
+
+CanonicalQuery CanonicalizeSimplified(Formula f, const Vocabulary& voc) {
   CanonicalQuery q;
-  q.f = Simplify(f);
+  q.f = std::move(f);
   q.key = CanonicalKey(q.f, voc);
-  Interpretation atoms(voc.size());
-  q.f->CollectAtoms(&atoms);
-  q.roots = atoms.TrueAtoms();
+  CollectVars(q.f, &q.roots);
+  std::sort(q.roots.begin(), q.roots.end());
+  q.roots.erase(std::unique(q.roots.begin(), q.roots.end()), q.roots.end());
   q.lit = AsLiteral(q.f);
   return q;
 }

@@ -209,6 +209,11 @@ std::string CanonicalKey(const Formula& f, const Vocabulary& voc);
 /// Simplifies and keys one query formula.
 CanonicalQuery Canonicalize(const Formula& f, const Vocabulary& voc);
 
+/// Keys one query formula that is already simplified, as the parts
+/// SplitConjuncts and SplitDisjuncts return are (Simplify is idempotent,
+/// so the result equals Canonicalize's).
+CanonicalQuery CanonicalizeSimplified(Formula f, const Vocabulary& voc);
+
 /// The top-level conjuncts of Simplify(f) (the formula itself when it is
 /// not a conjunction). Skeptical inference distributes over ∧: DB |~ G∧H
 /// iff DB |~ G and DB |~ H, because both sides quantify over the same

@@ -650,7 +650,7 @@ uint64_t Reasoner::fingerprint() {
   return *fingerprint_;
 }
 
-const ground::MentionIndex& Reasoner::mention_index(bool* built) {
+const ground::TupleIndex& Reasoner::mention_index(bool* built) {
   if (built != nullptr) *built = !mention_index_.has_value();
   if (!mention_index_.has_value()) {
     mention_index_ = ground::IndexDatabase(db_);
@@ -718,7 +718,7 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
     }
     for (const Formula& part : parts) {
       batch::CanonicalQuery cq =
-          batch::Canonicalize(part, db_.vocabulary());
+          batch::CanonicalizeSimplified(part, db_.vocabulary());
       auto [it, inserted] =
           index_of.emplace(cq.key, static_cast<int>(uniq.size()));
       if (inserted) {

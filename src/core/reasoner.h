@@ -180,7 +180,7 @@ class Reasoner {
   /// atoms a query interns are never clause-mentioned, so the index
   /// survives InvalidateCaches(). `*built` (when given) is set to whether
   /// this call built it.
-  const ground::MentionIndex& mention_index(bool* built = nullptr);
+  const ground::TupleIndex& mention_index(bool* built = nullptr);
 
   /// The reasoner-owned answer cache (null until the first cached batch).
   batch::AnswerCache* answer_cache() { return answer_cache_.get(); }
@@ -325,7 +325,7 @@ class Reasoner {
   analysis::DispatchStats dispatch_stats_;
 
   std::optional<uint64_t> fingerprint_;
-  std::optional<ground::MentionIndex> mention_index_;
+  std::optional<ground::TupleIndex> mention_index_;
   std::unique_ptr<batch::AnswerCache> answer_cache_;
   std::unique_ptr<batch::ModelBankStore> bank_store_;
   /// Oracle work done by batch group engines (they are per-group

@@ -43,14 +43,20 @@ std::vector<std::string> FoRule::Variables() const {
 }
 
 bool FoRule::IsSafe() const {
-  std::set<std::string> positive;
-  for (const PredAtom& a : pos_body) {
-    for (const Term& t : a.args) {
-      if (t.is_variable) positive.insert(t.name);
+  auto positive = [&](const std::string& var) {
+    for (const PredAtom& a : pos_body) {
+      for (const Term& t : a.args) {
+        if (t.is_variable && t.name == var) return true;
+      }
     }
-  }
-  for (const std::string& v : Variables()) {
-    if (positive.find(v) == positive.end()) return false;
+    return false;
+  };
+  for (const auto* atoms : {&heads, &neg_body}) {
+    for (const PredAtom& a : *atoms) {
+      for (const Term& t : a.args) {
+        if (t.is_variable && !positive(t.name)) return false;
+      }
+    }
   }
   return true;
 }
@@ -81,11 +87,11 @@ std::string FoRule::ToString() const {
 }
 
 std::vector<std::string> FoProgram::Constants() const {
-  std::set<std::string> consts;
+  std::vector<std::string> consts;
   auto collect = [&](const std::vector<PredAtom>& atoms) {
     for (const PredAtom& a : atoms) {
       for (const Term& t : a.args) {
-        if (!t.is_variable) consts.insert(t.name);
+        if (!t.is_variable) consts.push_back(t.name);
       }
     }
   };
@@ -94,7 +100,9 @@ std::vector<std::string> FoProgram::Constants() const {
     collect(r.pos_body);
     collect(r.neg_body);
   }
-  return std::vector<std::string>(consts.begin(), consts.end());
+  std::sort(consts.begin(), consts.end());
+  consts.erase(std::unique(consts.begin(), consts.end()), consts.end());
+  return consts;
 }
 
 std::string FoProgram::ToString() const {

@@ -1,13 +1,33 @@
 #include "ground/join.h"
 
+#include <algorithm>
+
 namespace dd {
 namespace ground {
 
 namespace {
 
+/// splitmix64's finalizer: spreads the bits of a key over the table.
+uint64_t Mix(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+uint64_t HashArgs(const int* args, int arity) {
+  uint64_t h = static_cast<uint64_t>(arity);
+  for (int k = 0; k < arity; ++k) {
+    h = Mix(h ^ static_cast<uint32_t>(args[k]));
+  }
+  return h;
+}
+
 /// Splits "p(c1,c2)" into (p, {c1, c2}); see IndexDatabase for the
 /// arity-0 cases.
-void SplitAtomName(const std::string& name, std::string* pred, Tuple* args) {
+void SplitAtomName(const std::string& name, std::string* pred,
+                   std::vector<std::string>* args) {
   const size_t open = name.find('(');
   if (open != std::string::npos && name.back() == ')') {
     const size_t close = name.size() - 1;
@@ -29,21 +49,151 @@ void SplitAtomName(const std::string& name, std::string* pred, Tuple* args) {
 
 }  // namespace
 
-bool TupleIndex::Insert(const std::string& pred, Tuple args) {
-  Entry& entry = by_pred_[pred];
-  if (!entry.seen.insert(args).second) return false;
-  entry.tuples.push_back(std::move(args));
+TupleIndex::TupleIndex(std::vector<std::string> universe)
+    : universe_(std::move(universe)) {
+  constant_ids_.reserve(universe_.size());
+  for (size_t i = 0; i < universe_.size(); ++i) {
+    constant_ids_.emplace(universe_[i], static_cast<int>(i));
+  }
+}
+
+int TupleIndex::Constant(const std::string& name) const {
+  auto it = constant_ids_.find(name);
+  return it == constant_ids_.end() ? -1 : it->second;
+}
+
+int TupleIndex::InternPredicate(const std::string& name, int arity) {
+  std::vector<int>& ids = pred_ids_[name];
+  for (int id : ids) {
+    if (rels_[id].arity == arity) return id;
+  }
+  ids.push_back(static_cast<int>(rels_.size()));
+  Relation& r = rels_.emplace_back();
+  r.name = name;
+  r.arity = arity;
+  return ids.back();
+}
+
+int TupleIndex::FindPredicate(const std::string& name, int arity) const {
+  auto it = pred_ids_.find(name);
+  if (it != pred_ids_.end()) {
+    for (int id : it->second) {
+      if (rels_[id].arity == arity) return id;
+    }
+  }
+  return -1;
+}
+
+size_t TupleIndex::MemberSlot(const Relation& r, const int* args) {
+  const size_t mask = r.members.size() - 1;
+  const size_t arity = static_cast<size_t>(r.arity);
+  for (size_t i = HashArgs(args, r.arity) & mask;; i = (i + 1) & mask) {
+    const int id = r.members[i];
+    if (id < 0 ||
+        std::equal(args, args + arity,
+                   r.args.data() + static_cast<size_t>(id) * arity)) {
+      return i;
+    }
+  }
+}
+
+size_t TupleIndex::ChainSlot(const Relation& r, int64_t key) {
+  const size_t mask = r.chain_keys.size() - 1;
+  for (size_t i = Mix(static_cast<uint64_t>(key)) & mask;;
+       i = (i + 1) & mask) {
+    if (r.chain_keys[i] < 0 || r.chain_keys[i] == key) return i;
+  }
+}
+
+void TupleIndex::GrowMembers(Relation* r) {
+  const size_t arity = static_cast<size_t>(r->arity);
+  r->members.assign(std::max<size_t>(8, 2 * r->members.size()), -1);
+  const size_t mask = r->members.size() - 1;
+  for (int id = 0; id < r->count; ++id) {
+    size_t i = HashArgs(r->args.data() + static_cast<size_t>(id) * arity,
+                        r->arity) &
+               mask;
+    while (r->members[i] >= 0) i = (i + 1) & mask;
+    r->members[i] = id;
+  }
+}
+
+void TupleIndex::GrowChains(Relation* r) {
+  std::vector<int64_t> keys = std::move(r->chain_keys);
+  std::vector<int> first = std::move(r->chain_first);
+  std::vector<int> last = std::move(r->chain_last);
+  const size_t size = std::max<size_t>(8, 2 * keys.size());
+  r->chain_keys.assign(size, -1);
+  r->chain_first.assign(size, -1);
+  r->chain_last.assign(size, -1);
+  for (size_t j = 0; j < keys.size(); ++j) {
+    if (keys[j] < 0) continue;
+    const size_t i = ChainSlot(*r, keys[j]);
+    r->chain_keys[i] = keys[j];
+    r->chain_first[i] = first[j];
+    r->chain_last[i] = last[j];
+  }
+}
+
+std::pair<int, bool> TupleIndex::Insert(int pred, const int* args) {
+  Relation& r = rels_[pred];
+  if (2 * (static_cast<size_t>(r.count) + 1) > r.members.size()) {
+    GrowMembers(&r);
+  }
+  const size_t slot = MemberSlot(r, args);
+  if (r.members[slot] >= 0) return {r.members[slot], false};
+  const int id = r.count++;
   ++size_;
-  return true;
+  r.members[slot] = id;
+  r.args.insert(r.args.end(), args, args + r.arity);
+  r.next.insert(r.next.end(), static_cast<size_t>(r.arity), -1);
+  const int64_t width = static_cast<int64_t>(universe_.size());
+  for (int k = 0; k < r.arity; ++k) {
+    if (2 * (static_cast<size_t>(r.num_chains) + 1) > r.chain_keys.size()) {
+      GrowChains(&r);
+    }
+    const int64_t key = k * width + args[k];
+    const size_t c = ChainSlot(r, key);
+    if (r.chain_keys[c] < 0) {
+      r.chain_keys[c] = key;
+      r.chain_first[c] = id;
+      ++r.num_chains;
+    } else {
+      r.next[static_cast<size_t>(r.chain_last[c]) *
+                 static_cast<size_t>(r.arity) +
+             static_cast<size_t>(k)] = id;
+    }
+    r.chain_last[c] = id;
+  }
+  return {id, true};
 }
 
-const std::deque<Tuple>& TupleIndex::Tuples(const std::string& pred) const {
-  static const std::deque<Tuple> kNone;
-  auto it = by_pred_.find(pred);
-  return it == by_pred_.end() ? kNone : it->second.tuples;
+int TupleIndex::First(int pred, int arg, int value) const {
+  const Relation& r = rels_[pred];
+  if (r.chain_keys.empty()) return -1;
+  const int64_t key =
+      arg * static_cast<int64_t>(universe_.size()) + value;
+  const size_t c = ChainSlot(r, key);
+  return r.chain_keys[c] < 0 ? -1 : r.chain_first[c];
 }
 
-MentionIndex IndexDatabase(const Database& db) {
+std::string TupleIndex::Name(int pred, const int* args) const {
+  const Relation& r = rels_[pred];
+  if (r.arity == 0) return r.name;
+  size_t len = r.name.size() + static_cast<size_t>(r.arity) + 1;
+  for (int k = 0; k < r.arity; ++k) len += universe_[args[k]].size();
+  std::string name;
+  name.reserve(len);
+  name += r.name;
+  for (int k = 0; k < r.arity; ++k) {
+    name += k == 0 ? '(' : ',';
+    name += universe_[args[k]];
+  }
+  name += ')';
+  return name;
+}
+
+TupleIndex IndexDatabase(const Database& db) {
   const Vocabulary& voc = db.vocabulary();
   std::vector<char> used(static_cast<size_t>(voc.size()), 0);
   for (const Clause& c : db.clauses()) {
@@ -51,109 +201,164 @@ MentionIndex IndexDatabase(const Database& db) {
     for (Var v : c.pos_body()) used[v] = 1;
     for (Var v : c.neg_body()) used[v] = 1;
   }
-  MentionIndex out;
-  std::set<std::string> constants;
+  // Split every mentioned name first: constant ids follow name order, so
+  // the universe must be complete before the first tuple is interned.
+  std::vector<std::pair<std::string, std::vector<std::string>>> atoms;
+  std::vector<std::string> constants;
   for (Var v = 0; v < voc.size(); ++v) {
     if (!used[v]) continue;
-    std::string pred;
-    Tuple args;
+    auto& [pred, args] = atoms.emplace_back();
     SplitAtomName(voc.Name(v), &pred, &args);
-    constants.insert(args.begin(), args.end());
-    out.tuples.Insert(pred, std::move(args));
+    constants.insert(constants.end(), args.begin(), args.end());
   }
-  out.universe.assign(constants.begin(), constants.end());
+  std::sort(constants.begin(), constants.end());
+  constants.erase(std::unique(constants.begin(), constants.end()),
+                  constants.end());
+  TupleIndex out(std::move(constants));
+  std::vector<int> ids;
+  for (const auto& [pred, args] : atoms) {
+    ids.clear();
+    for (const std::string& c : args) ids.push_back(out.Constant(c));
+    out.Insert(out.InternPredicate(pred, static_cast<int>(args.size())),
+               ids.data());
+  }
   return out;
 }
 
-Join::Join(const std::vector<PredAtom>& atoms, std::vector<std::string> vars)
-    : vars_(std::move(vars)) {
-  for (const PredAtom& a : atoms) {
-    Pattern p{a.predicate, {}, {}};
-    for (const Term& t : a.args) {
-      p.slots.push_back(t.is_variable ? Slot(t.name) : -1);
-      p.constants.push_back(t.is_variable ? std::string() : t.name);
+AtomPattern::AtomPattern(const PredAtom& a,
+                         const std::vector<std::string>& vars,
+                         const TupleIndex& idx)
+    : pred(idx.FindPredicate(a.predicate, a.arity())) {
+  for (const Term& t : a.args) {
+    int slot = -1;
+    int constant = -1;
+    if (t.is_variable) {
+      slot = static_cast<int>(std::find(vars.begin(), vars.end(), t.name) -
+                              vars.begin());
+    } else {
+      constant = idx.Constant(t.name);
+      if (constant < 0) pred = -1;
     }
-    patterns_.push_back(std::move(p));
+    slots.push_back(slot);
+    constants.push_back(constant);
   }
 }
 
-int Join::Slot(const std::string& var) const {
-  for (size_t i = 0; i < vars_.size(); ++i) {
-    if (vars_[i] == var) return static_cast<int>(i);
+void AtomPattern::Instantiate(const Binding& b, std::vector<int>* out) const {
+  out->clear();
+  for (size_t k = 0; k < slots.size(); ++k) {
+    out->push_back(slots[k] < 0 ? constants[k] : b[slots[k]]);
   }
-  return -1;
 }
 
-bool Join::Run(const TupleIndex& idx, const std::vector<std::string>& universe,
-               const std::function<bool(const Binding&)>& emit) const {
-  Binding b(vars_.size(), nullptr);
-  return Bind(0, idx, universe, &b, emit);
+std::vector<AtomPattern> Resolve(const std::vector<PredAtom>& atoms,
+                                 const std::vector<std::string>& vars,
+                                 const TupleIndex& idx) {
+  std::vector<AtomPattern> out;
+  out.reserve(atoms.size());
+  for (const PredAtom& a : atoms) out.emplace_back(a, vars, idx);
+  return out;
+}
+
+Join::Join(const std::vector<AtomPattern>& atoms, size_t num_vars, int lead)
+    : num_vars_(num_vars) {
+  std::vector<int> order;
+  if (lead >= 0) order.push_back(lead);
+  for (int a = 0; a < static_cast<int>(atoms.size()); ++a) {
+    if (a != lead) order.push_back(a);
+  }
+  std::vector<char> bound(num_vars, 0);
+  for (int a : order) {
+    const AtomPattern& p = atoms[a];
+    Step s{a, p.pred, -1, {}, {}};
+    const std::vector<char> bound_before = bound;
+    for (size_t k = 0; k < p.slots.size(); ++k) {
+      const int slot = p.slots[k];
+      if (slot < 0) {
+        s.ops.push_back(Op::kConstant);
+        s.operands.push_back(p.constants[k]);
+      } else {
+        s.ops.push_back(bound[slot] ? Op::kCheck : Op::kBind);
+        s.operands.push_back(slot);
+        bound[slot] = 1;
+      }
+      if (s.probe < 0 && (slot < 0 || bound_before[slot])) {
+        s.probe = static_cast<int>(k);
+      }
+    }
+    steps_.push_back(std::move(s));
+  }
+  for (size_t v = 0; v < num_vars; ++v) {
+    if (!bound[v]) unbound_.push_back(static_cast<int>(v));
+  }
+}
+
+bool Join::Run(const TupleIndex& idx,
+               const std::function<bool(const Binding&)>& emit,
+               const std::vector<Range>* ranges) const {
+  Binding b(num_vars_, -1);
+  return Bind(0, idx, ranges, &b, emit);
 }
 
 bool Join::Bind(size_t i, const TupleIndex& idx,
-                const std::vector<std::string>& universe, Binding* b,
+                const std::vector<Range>* ranges, Binding* b,
                 const std::function<bool(const Binding&)>& emit) const {
-  if (i == patterns_.size()) return Expand(vars_.size(), universe, b, emit);
-  const Pattern& p = patterns_[i];
-  const std::deque<Tuple>& tuples = idx.Tuples(p.pred);
-  std::vector<int> bound_here;
-  // By index: `emit` may append to this very deque (the closure does).
-  for (size_t t = 0; t < tuples.size(); ++t) {
-    const Tuple& tuple = tuples[t];
-    if (tuple.size() != p.slots.size()) continue;
-    bool ok = true;
-    for (size_t k = 0; ok && k < tuple.size(); ++k) {
-      const int s = p.slots[k];
-      if (s < 0) {
-        ok = p.constants[k] == tuple[k];
-      } else if ((*b)[s] == nullptr) {
-        (*b)[s] = &tuple[k];
-        bound_here.push_back(s);
-      } else {
-        ok = *(*b)[s] == tuple[k];
+  if (i == steps_.size()) {
+    return Expand(unbound_.size(), static_cast<int>(idx.universe().size()),
+                  b, emit);
+  }
+  const Step& s = steps_[i];
+  if (s.pred < 0) return true;
+  int lo = 0;
+  int hi = idx.Count(s.pred);
+  if (ranges != nullptr) {
+    lo = std::max(lo, (*ranges)[s.atom].lo);
+    hi = std::min(hi, (*ranges)[s.atom].hi);
+  }
+  // Reads the tuple before recursing: `emit` may insert, which moves it.
+  auto visit = [&](int t) {
+    const int* tuple = idx.Args(s.pred, t);
+    for (size_t k = 0; k < s.ops.size(); ++k) {
+      const int x = s.operands[k];
+      switch (s.ops[k]) {
+        case Op::kConstant:
+          if (tuple[k] != x) return true;
+          break;
+        case Op::kBind:
+          (*b)[x] = tuple[k];
+          break;
+        case Op::kCheck:
+          if ((*b)[x] != tuple[k]) return true;
+          break;
       }
     }
-    const bool go_on = !ok || Bind(i + 1, idx, universe, b, emit);
-    for (int s : bound_here) (*b)[s] = nullptr;
-    bound_here.clear();
-    if (!go_on) return false;
+    return Bind(i + 1, idx, ranges, b, emit);
+  };
+  if (s.probe >= 0 && lo == 0) {
+    const int value = s.ops[s.probe] == Op::kConstant
+                          ? s.operands[s.probe]
+                          : (*b)[s.operands[s.probe]];
+    for (int t = idx.First(s.pred, s.probe, value); t >= 0 && t < hi;
+         t = idx.Next(s.pred, s.probe, t)) {
+      if (!visit(t)) return false;
+    }
+  } else {
+    for (int t = lo; t < hi; ++t) {
+      if (!visit(t)) return false;
+    }
   }
   return true;
 }
 
-bool Join::Expand(size_t n, const std::vector<std::string>& universe,
-                  Binding* b,
+bool Join::Expand(size_t n, int universe, Binding* b,
                   const std::function<bool(const Binding&)>& emit) const {
   if (n == 0) return emit(*b);
-  if ((*b)[n - 1] != nullptr) return Expand(n - 1, universe, b, emit);
-  bool go_on = true;
-  for (size_t c = 0; go_on && c < universe.size(); ++c) {
-    (*b)[n - 1] = &universe[c];
-    go_on = Expand(n - 1, universe, b, emit);
+  const int slot = unbound_[n - 1];
+  for (int c = 0; c < universe; ++c) {
+    (*b)[slot] = c;
+    if (!Expand(n - 1, universe, b, emit)) return false;
   }
-  (*b)[n - 1] = nullptr;
-  return go_on;
-}
-
-Tuple Join::Args(const PredAtom& a, const Binding& b) const {
-  Tuple out;
-  out.reserve(a.args.size());
-  for (const Term& t : a.args) {
-    out.push_back(t.is_variable ? *b[Slot(t.name)] : t.name);
-  }
-  return out;
-}
-
-std::string Join::Name(const PredAtom& a, const Binding& b) const {
-  if (a.args.empty()) return a.predicate;
-  std::string name = a.predicate + "(";
-  for (size_t i = 0; i < a.args.size(); ++i) {
-    if (i) name += ",";
-    const Term& t = a.args[i];
-    name += t.is_variable ? *b[Slot(t.name)] : t.name;
-  }
-  name += ")";
-  return name;
+  return true;
 }
 
 }  // namespace ground

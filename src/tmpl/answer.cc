@@ -72,7 +72,7 @@ Result<TemplateAnswer> AnswerTemplate(Reasoner* r, SemanticsKind kind,
   out.stats.templates = 1;
 
   bool index_built = false;
-  const ground::MentionIndex& idx = r->mention_index(&index_built);
+  const ground::TupleIndex& idx = r->mention_index(&index_built);
   span.Counter("index_built", index_built ? 1 : 0);
 
   // Pruning gates (header comment): a custom CCWA/ECWA partition lets
@@ -103,7 +103,8 @@ Result<TemplateAnswer> AnswerTemplate(Reasoner* r, SemanticsKind kind,
   out.candidates = static_cast<int64_t>(bindings.size());
   out.stats.candidates = out.candidates;
   out.stats.full_space =
-      SaturatingPow(static_cast<int64_t>(idx.universe.size()), t.vars.size());
+      SaturatingPow(static_cast<int64_t>(idx.universe().size()),
+                    t.vars.size());
   if (prune && out.stats.full_space > out.candidates) {
     out.stats.pruned = out.stats.full_space - out.candidates;
   }

@@ -17,7 +17,7 @@ int64_t SaturatingPow(int64_t base, size_t exp) {
 }
 
 Result<std::vector<std::vector<std::string>>> EnumerateBindings(
-    const Template& t, const ground::MentionIndex& idx,
+    const Template& t, const ground::TupleIndex& idx,
     const EnumerateOptions& opts) {
   if (t.vars.empty()) {
     // One ground candidate; answering it is the batch layer's job.
@@ -27,22 +27,28 @@ Result<std::vector<std::vector<std::string>>> EnumerateBindings(
   // derivable closure: an intended model can satisfy body atoms the
   // fixpoint never derives (e.g. from a disjunctive head), so
   // clause-mention is the sound upper bound here.
-  const std::vector<ground::PredAtom> no_atoms;
-  const ground::Join join(opts.prune ? t.pos : no_atoms, t.vars);
-  std::set<std::vector<std::string>> out;  // sorted + deduplicated
-  const bool within =
-      join.Run(idx.tuples, idx.universe, [&](const ground::Binding& b) {
-        std::vector<std::string> binding;
-        binding.reserve(b.size());
-        for (const std::string* c : b) binding.push_back(*c);
-        out.insert(std::move(binding));
-        return static_cast<int64_t>(out.size()) <= opts.max_candidates;
-      });
+  const ground::Join join(
+      opts.prune ? ground::Resolve(t.pos, t.vars, idx)
+                 : std::vector<ground::AtomPattern>{},
+      t.vars.size());
+  // Constant ids follow name order, so sorting ids sorts the names.
+  std::set<ground::Binding> out;
+  const bool within = join.Run(idx, [&](const ground::Binding& b) {
+    out.insert(b);
+    return static_cast<int64_t>(out.size()) <= opts.max_candidates;
+  });
   if (!within) {
     return Status::ResourceExhausted(
         "template enumeration exceeded max_candidates");
   }
-  return std::vector<std::vector<std::string>>(out.begin(), out.end());
+  std::vector<std::vector<std::string>> bindings;
+  bindings.reserve(out.size());
+  for (const ground::Binding& b : out) {
+    std::vector<std::string>& names = bindings.emplace_back();
+    names.reserve(b.size());
+    for (int c : b) names.push_back(idx.universe()[c]);
+  }
+  return bindings;
 }
 
 }  // namespace tmpl

@@ -44,7 +44,7 @@ struct EnumerateOptions {
 /// of join order and thread count. A template with no variables has
 /// exactly one (empty) candidate.
 Result<std::vector<std::vector<std::string>>> EnumerateBindings(
-    const Template& t, const ground::MentionIndex& idx,
+    const Template& t, const ground::TupleIndex& idx,
     const EnumerateOptions& opts);
 
 /// |universe|^exp, saturating at INT64_MAX (the pruning-denominator stat).

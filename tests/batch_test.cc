@@ -169,6 +169,40 @@ TEST(Canonicalize, DetectsBareLiterals) {
   EXPECT_FALSE(batch::Canonicalize(*compound, voc).lit.has_value());
 }
 
+TEST(Canonicalize, SplitPartsNeedNoSecondSimplify) {
+  // AnswerBatch keys the parts SplitConjuncts / SplitDisjuncts return
+  // without simplifying them again; that must give Canonicalize's key,
+  // roots and literal.
+  Database db = Db("a | b. c :- a. d :- c, b. e.");
+  const Vocabulary& voc = db.vocabulary();
+  Rng rng(17);
+  for (int i = 0; i < 500; ++i) {
+    Formula f = testing::RandomFormula(&rng, voc.size(), 4);
+    switch (rng.Below(4)) {
+      case 0:
+        f = FormulaNode::MakeAnd(f, FormulaNode::MakeConst(rng.Chance(0.5)));
+        break;
+      case 1:
+        f = FormulaNode::MakeIff(f,
+                                 testing::RandomFormula(&rng, voc.size(), 2));
+        break;
+      default:
+        break;
+    }
+    for (const auto& parts :
+         {batch::SplitConjuncts(f), batch::SplitDisjuncts(f)}) {
+      for (const Formula& part : parts) {
+        const batch::CanonicalQuery once =
+            batch::CanonicalizeSimplified(part, voc);
+        const batch::CanonicalQuery twice = batch::Canonicalize(part, voc);
+        EXPECT_EQ(once.key, twice.key);
+        EXPECT_EQ(once.roots, twice.roots);
+        EXPECT_EQ(once.lit, twice.lit);
+      }
+    }
+  }
+}
+
 TEST(Canonicalize, BankSoundnessGate) {
   for (SemanticsKind kind : kAllKinds) {
     EXPECT_EQ(batch::BankIsSound(kind), kind != SemanticsKind::kPdsm)

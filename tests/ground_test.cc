@@ -1,5 +1,11 @@
 #include "ground/grounder.h"
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "core/brute_force.h"
 #include "core/io.h"
 #include "core/reasoner.h"
@@ -9,6 +15,7 @@
 #include "semantics/egcwa.h"
 #include "tests/test_util.h"
 #include "util/fingerprint.h"
+#include "util/rng.h"
 #include "util/string_util.h"
 
 namespace dd {
@@ -393,6 +400,204 @@ TEST(Grounder, StratifiedDefaultsThroughGrounding) {
   EXPECT_TRUE(*r.InfersFormula(SemanticsKind::kDsm, "win(b)"));
   EXPECT_TRUE(*r.InfersFormula(SemanticsKind::kDsm, "~win(a)"));
   EXPECT_TRUE(*r.InfersFormula(SemanticsKind::kDsm, "~win(c)"));
+}
+
+// ---------------------------------------------------------------------------
+// Differential check: the relevance-filtered and bottom-up grounders
+// against a reference built from plain Ground() and a naive fixpoint over
+// atom names.
+// ---------------------------------------------------------------------------
+
+/// A clause as sorted atom-name lists: heads, positive body, negative body.
+using NamedClause = std::tuple<std::vector<std::string>,
+                               std::vector<std::string>,
+                               std::vector<std::string>>;
+
+std::vector<std::string> Names(const Vocabulary& voc,
+                               const std::vector<Var>& vars) {
+  std::vector<std::string> out;
+  for (Var v : vars) out.push_back(voc.Name(v));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// `db`'s clauses by name, sorted (duplicates kept).
+std::vector<NamedClause> NamedClauses(const Database& db) {
+  std::vector<NamedClause> out;
+  for (const Clause& c : db.clauses()) {
+    out.emplace_back(Names(db.vocabulary(), c.heads()),
+                     Names(db.vocabulary(), c.pos_body()),
+                     Names(db.vocabulary(), c.neg_body()));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The clauses of `full` (a plain grounding) whose positive body lies in
+/// the least set of atom names closed under those clauses' heads.
+std::vector<NamedClause> NaiveRelevant(const Database& full) {
+  const std::vector<NamedClause> all = NamedClauses(full);
+  std::set<std::string> derived;
+  auto body_derived = [&](const NamedClause& c) {
+    for (const std::string& b : std::get<1>(c)) {
+      if (derived.count(b) == 0) return false;
+    }
+    return true;
+  };
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const NamedClause& c : all) {
+      if (!body_derived(c)) continue;
+      for (const std::string& h : std::get<0>(c)) {
+        grew = derived.insert(h).second || grew;
+      }
+    }
+  }
+  std::vector<NamedClause> out;
+  for (const NamedClause& c : all) {
+    if (body_derived(c)) out.push_back(c);
+  }
+  return out;
+}
+
+Database FromNamed(const std::vector<NamedClause>& clauses) {
+  Database db;
+  for (const auto& [heads, pos, neg] : clauses) db.AddRule(heads, pos, neg);
+  return db;
+}
+
+/// A random small safe program over predicates e/2, p/1, q/2, r/1, s/0
+/// and up to four constants: facts (some disjunctive), random rules with
+/// repeated variables and integrity clauses, and often linear and
+/// non-linear recursion.
+std::string RandomProgram(Rng* rng) {
+  const int num_constants = 1 + static_cast<int>(rng->Below(4));
+  const struct {
+    const char* name;
+    int arity;
+  } kPreds[] = {{"e", 2}, {"p", 1}, {"q", 2}, {"r", 1}, {"s", 0}};
+  auto constant = [&] {
+    return StrFormat("c%d", static_cast<int>(rng->Below(num_constants)));
+  };
+  // An atom of a random predicate; args from `vars` (when non-empty, with
+  // probability 2/3) or constants.
+  auto atom = [&](const std::vector<std::string>& vars) {
+    const auto& pred = kPreds[rng->Below(5)];
+    std::string out = pred.name;
+    for (int k = 0; k < pred.arity; ++k) {
+      out += k == 0 ? "(" : ",";
+      out += !vars.empty() && rng->Below(3) != 0
+                 ? vars[rng->Below(vars.size())]
+                 : constant();
+    }
+    return pred.arity == 0 ? out : out + ")";
+  };
+  std::string text;
+  const int facts = 2 + static_cast<int>(rng->Below(5));
+  for (int i = 0; i < facts; ++i) {
+    text += atom({});
+    if (rng->Chance(0.3)) text += " | " + atom({});
+    text += ".\n";
+  }
+  const std::vector<std::string> kVars = {"X", "Y", "Z"};
+  const int rules = 1 + static_cast<int>(rng->Below(5));
+  for (int i = 0; i < rules; ++i) {
+    const std::vector<std::string> vars(
+        kVars.begin(), kVars.begin() + 1 + static_cast<long>(rng->Below(3)));
+    std::vector<std::string> body;
+    const int body_size = 1 + static_cast<int>(rng->Below(3));
+    for (int b = 0; b < body_size; ++b) body.push_back(atom(vars));
+    // Heads may use only variables the body binds (safety).
+    std::vector<std::string> bound;
+    for (const std::string& v : vars) {
+      for (const std::string& b : body) {
+        if (b.find(v) != std::string::npos) {
+          bound.push_back(v);
+          break;
+        }
+      }
+    }
+    const int heads = static_cast<int>(rng->Below(5)) == 0
+                          ? 0
+                          : 1 + static_cast<int>(rng->Below(2));
+    for (int h = 0; h < heads; ++h) {
+      text += (h ? " | " : "") + atom(bound);
+    }
+    text += heads ? " :- " : ":- ";
+    for (int b = 0; b < body_size; ++b) text += (b ? ", " : "") + body[b];
+    text += ".\n";
+  }
+  if (rng->Chance(0.5)) {
+    text += "q(X,Y) :- e(X,Y).\n";
+    text += rng->Chance(0.5) ? "q(X,Z) :- q(X,Y), q(Y,Z).\n"
+                             : "q(X,Z) :- q(X,Y), e(Y,Z).\n";
+  }
+  if (rng->Chance(0.3)) text += "r(X) | p(X) :- q(X,X).\n";
+  return text;
+}
+
+TEST(GroundDifferential, RelevanceAndBottomUpMatchNaiveReference) {
+  Rng rng(20260417);
+  int nonempty = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::string text = RandomProgram(&rng);
+    SCOPED_TRACE(text);
+    auto prog = ParseProgram(text);
+    ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+    auto full = ground::Ground(*prog);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    const std::vector<NamedClause> want = NaiveRelevant(*full);
+    const uint64_t want_fp = DatabaseFingerprint(FromNamed(want));
+    nonempty += want.empty() ? 0 : 1;
+
+    GroundOptions rel;
+    rel.relevance_filter = true;
+    auto filtered = ground::Ground(*prog, rel);
+    auto bottom_up = ground::GroundBottomUp(*prog);
+    ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
+    ASSERT_TRUE(bottom_up.ok()) << bottom_up.status().ToString();
+    EXPECT_EQ(NamedClauses(*filtered), want);
+    EXPECT_EQ(NamedClauses(*bottom_up), want);
+    EXPECT_EQ(DatabaseFingerprint(*filtered), want_fp);
+    EXPECT_EQ(DatabaseFingerprint(*bottom_up), want_fp);
+
+    // Under a clause cap both fail exactly when the reference is larger.
+    const int64_t n = static_cast<int64_t>(want.size());
+    for (int64_t cap : {int64_t{1}, n - 1, n, n + 1}) {
+      if (cap < 1) continue;
+      GroundOptions capped;
+      capped.max_clauses = cap;
+      auto b = ground::GroundBottomUp(*prog, capped);
+      capped.relevance_filter = true;
+      auto f = ground::Ground(*prog, capped);
+      for (const Result<Database>* got : {&b, &f}) {
+        if (n <= cap) {
+          ASSERT_TRUE(got->ok()) << "cap " << cap << ": "
+                                 << got->status().ToString();
+          EXPECT_EQ(NamedClauses(**got), want);
+        } else {
+          EXPECT_EQ(got->status().code(), StatusCode::kResourceExhausted)
+              << "cap " << cap;
+          EXPECT_EQ(got->status().message(),
+                    StrFormat("grounding exceeded %lld clauses",
+                              static_cast<long long>(cap)));
+        }
+      }
+    }
+
+    // With negation the filter is off (plain Ground's clauses exactly) and
+    // GroundBottomUp refuses the program.
+    auto negated = ParseProgram(text + "s :- p(X), not r(X).\n");
+    ASSERT_TRUE(negated.ok());
+    auto plain = ground::Ground(*negated);
+    auto unfiltered = ground::Ground(*negated, rel);
+    ASSERT_TRUE(plain.ok() && unfiltered.ok());
+    EXPECT_EQ(NamedClauses(*unfiltered), NamedClauses(*plain));
+    EXPECT_EQ(ground::GroundBottomUp(*negated).status().code(),
+              StatusCode::kFailedPrecondition);
+  }
+  // The generator is not degenerate.
+  EXPECT_GT(nonempty, 250);
 }
 
 }  // namespace

@@ -227,15 +227,25 @@ TEST(TemplateCompile, MixedConjunctsCompileToConjunctionFormula) {
 // Domain extraction and enumeration
 // ---------------------------------------------------------------------------
 
-/// pred's tuples in `idx`, as a vector for comparison.
+/// The tuples of every predicate named `pred` in `idx` (any arity), in
+/// id order, as constant names.
 std::vector<Binding> Rows(const ground::TupleIndex& idx, const char* pred) {
-  return std::vector<Binding>(idx.Tuples(pred).begin(), idx.Tuples(pred).end());
+  std::vector<Binding> rows;
+  for (int p = 0; p < idx.num_predicates(); ++p) {
+    if (idx.PredicateName(p) != pred) continue;
+    for (int t = 0; t < idx.Count(p); ++t) {
+      Binding& row = rows.emplace_back();
+      for (int k = 0; k < idx.Arity(p); ++k) {
+        row.push_back(idx.universe()[idx.Args(p, t)[k]]);
+      }
+    }
+  }
+  return rows;
 }
 
 TEST(Enumerate, IndexDatabaseCollectsMentionedTuples) {
   Database db = Db("p(a). q(a,b) | p(b). r. s(). s(a,,c).");
-  const ground::MentionIndex mention = ground::IndexDatabase(db);
-  const ground::TupleIndex& idx = mention.tuples;
+  const ground::TupleIndex idx = ground::IndexDatabase(db);
   EXPECT_EQ(Rows(idx, "p"), (std::vector<Binding>{{"a"}, {"b"}}));
   EXPECT_EQ(Rows(idx, "q"), (std::vector<Binding>{{"a", "b"}}));
   // Bare propositional atoms are arity-0 predicates with one empty tuple.
@@ -245,7 +255,7 @@ TEST(Enumerate, IndexDatabaseCollectsMentionedTuples) {
   EXPECT_TRUE(Rows(idx, "s").empty());
   EXPECT_EQ(Rows(idx, "s()"), (std::vector<Binding>{{}}));
   EXPECT_EQ(Rows(idx, "s(a,,c)"), (std::vector<Binding>{{}}));
-  EXPECT_EQ(mention.universe, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(idx.universe(), (std::vector<std::string>{"a", "b"}));
 }
 
 TEST(Enumerate, JoinBindsConstantsAndSharedVariables) {
@@ -680,8 +690,8 @@ TEST(TemplateIndex, BuiltOncePerReasoner) {
                   .ok());
   EXPECT_EQ(trace.SumCounter("index_built", "tmpl"), 2);
   // The index is the clause-mentioned one, whatever the queries interned.
-  EXPECT_EQ(r.mention_index().universe,
-            ground::IndexDatabase(Db(kProgram)).universe);
+  EXPECT_EQ(r.mention_index().universe(),
+            ground::IndexDatabase(Db(kProgram)).universe());
 }
 
 TEST(TemplateFormat, AnswerBlockGolden) {
