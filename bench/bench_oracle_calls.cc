@@ -146,7 +146,7 @@ int main_impl(int argc, char** argv) {
                                      args.use_sessions ? "" : "_no_sessions"),
                            n, secs * 1e3 / reps, calls / reps, 0, timed_out};
     row.AddPhase("generate", gen_secs * 1e3).AddPhase("query", secs * 1e3);
-    row.metrics = obs::SnapshotOf(row_stats, nullptr, &row_sess);
+    row.SetMetrics(row_stats, row_sess);
     json.Add(std::move(row));
   }
 
@@ -201,7 +201,7 @@ int main_impl(int argc, char** argv) {
                                      args.use_sessions ? "" : "_no_sessions"),
                            n, secs * 1e3 / reps, calls / reps, 0, timed_out};
     row.AddPhase("generate", gen_secs * 1e3).AddPhase("query", secs * 1e3);
-    row.metrics = obs::SnapshotOf(row_stats, nullptr, &row_sess);
+    row.SetMetrics(row_stats, row_sess);
     json.Add(std::move(row));
   }
   std::printf(
@@ -234,12 +234,12 @@ int main_impl(int argc, char** argv) {
     bench::BenchRecord fresh_row{"ab_fresh", n, fresh.ms, fresh.oracle_calls,
                                  fresh.cache_hits, fresh_to};
     fresh_row.AddPhase("workload", fresh.ms);
-    fresh_row.metrics = obs::SnapshotOf(fresh.stats, nullptr, &fresh.sess);
+    fresh_row.SetMetrics(fresh.stats, fresh.sess);
     json.Add(std::move(fresh_row));
     bench::BenchRecord sess_row{"ab_session", n, sess.ms, sess.oracle_calls,
                                 sess.cache_hits, sess_to};
     sess_row.AddPhase("workload", sess.ms);
-    sess_row.metrics = obs::SnapshotOf(sess.stats, nullptr, &sess.sess);
+    sess_row.SetMetrics(sess.stats, sess.sess);
     json.Add(std::move(sess_row));
   }
   std::printf(

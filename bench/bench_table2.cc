@@ -354,7 +354,7 @@ int main_impl(int argc, char** argv) {
         .AddPhase("solve", solve_secs * 1e3);
     MinimalStats cell_stats;
     cell_stats.sat_calls = sat;
-    rec.metrics = obs::SnapshotOf(cell_stats);
+    rec.SetMetrics(cell_stats);
     json.Add(std::move(rec));
   }
   std::printf("%s\n",

@@ -93,13 +93,22 @@ struct BenchRecord {
   std::vector<std::pair<std::string, double>> phases;
 
   /// Full counter snapshot for the row under the canonical dd.* names
-  /// (build with obs::SnapshotOf or MetricsRegistry::Snapshot). Emitted as
-  /// the row's "metrics" object via obs::WriteJson when nonempty.
+  /// (build with SetMetrics or MetricsRegistry::Snapshot). Emitted as the
+  /// row's "metrics" object via obs::WriteJson when nonempty.
   obs::MetricsSnapshot metrics;
 
   BenchRecord& AddPhase(std::string phase, double ms) {
     phases.emplace_back(std::move(phase), ms);
     return *this;
+  }
+
+  /// Sets `metrics` to a snapshot holding exactly the given stats structs
+  /// (each folded in by its obs::Publish overload).
+  template <typename... Stats>
+  void SetMetrics(const Stats&... stats) {
+    obs::MetricsRegistry reg;
+    (obs::Publish(stats, &reg), ...);
+    metrics = reg.Snapshot();
   }
 };
 

@@ -127,6 +127,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "batch/queries_file.h"
@@ -136,7 +137,6 @@
 #include "ground/parser.h"
 #include "logic/printer.h"
 #include "obs/metrics.h"
-#include "obs/stats_view.h"
 #include "obs/trace.h"
 #include "serve/server.h"
 #include "strat/stratifier.h"
@@ -304,21 +304,59 @@ bool ParsePartitionArgs(const std::string& rest_of_line, dd::Reasoner* r) {
   return true;
 }
 
+/// Wraps an unbudgeted verdict for Verdict below (it is never kUnknown).
+dd::Result<dd::Trilean> Definite(const dd::Result<bool>& r) {
+  if (!r.ok()) return r.status();
+  return dd::TrileanFromBool(*r);
+}
+
+/// The printed answer to one ground query ("yes", "no", "unknown (out of
+/// budget)" or the error), newline-terminated; kUnknown sets *worst_exit
+/// to 2. --batch and the shell print the same strings, so
+/// `ddquery --batch=F prog` and `ddquery prog < F` agree line for line.
+std::string Verdict(const dd::Result<dd::Trilean>& r, int* worst_exit) {
+  if (!r.ok()) return r.status().ToString() + "\n";
+  if (*r == dd::Trilean::kUnknown) {
+    *worst_exit = 2;
+    return "unknown (out of budget)\n";
+  }
+  return *r == dd::Trilean::kYes ? "yes\n" : "no\n";
+}
+
+/// Answers one template request (a --batch line or a shell verb) as its
+/// tmpl::FormatAnswer block, under the session's batch options. Template
+/// stats accumulate into `stats` for the --metrics epilogue; a residual
+/// kUnknown substitution sets *worst_exit to 2.
+dd::Result<std::string> AnswerTemplate(dd::Reasoner* reasoner,
+                                       const dd::batch::Request& req,
+                                       const dd::batch::BatchOptions& bo,
+                                       bool naive,
+                                       dd::tmpl::TemplateStats* stats,
+                                       int* worst_exit) {
+  dd::tmpl::TemplateOptions topts;
+  topts.naive = naive;
+  topts.batch = bo;
+  auto a = dd::tmpl::AnswerTemplateText(
+      reasoner, req.kind, req.query.text,
+      req.brave ? dd::batch::BatchMode::kBrave
+                : dd::batch::BatchMode::kSkeptical,
+      topts);
+  if (!a.ok()) return a.status();
+  stats->Add(a->stats);
+  if (!a->unknown.empty()) *worst_exit = 2;
+  return dd::tmpl::FormatAnswer(*a);
+}
+
 /// Runs --batch mode through the hardened .queries parser
 /// (batch/queries_file.h): one Reasoner::AnswerBatch (or, for `brave`
 /// lines, AnswerBatchCredulous) call per (semantics, mode) group, plus one
-/// tmpl::AnswerTemplateText call per `answers`/`banswers` line (each
-/// template fans out into a batch of its own). Output prints in
-/// input-line order — one line per plain query, a FormatAnswer block per
-/// template — using the same strings the interactive shell prints, so
-/// `ddquery --batch=F prog` and `ddquery prog < F` agree line for line.
-/// `cache`, when non-null, is the persistent --cache-file cache (null
-/// keeps the reasoner-owned one); template stats accumulate into
-/// `tmpl_stats` for the --metrics epilogue. Returns false on a read/parse
-/// failure (exit 1); any kUnknown answer sets *worst_exit to 2.
+/// AnswerTemplate call per `answers`/`banswers` line (each template fans
+/// out into a batch of its own). Output prints in input-line order — one
+/// Verdict line per plain query, a FormatAnswer block per template.
+/// Returns false on a read/parse failure (exit 1); any kUnknown answer
+/// sets *worst_exit to 2.
 bool RunBatch(dd::Reasoner* reasoner, const std::string& path,
-              const dd::QueryOptions& query_opts, int threads,
-              bool naive_templates, dd::batch::AnswerCache* cache,
+              const dd::batch::BatchOptions& bo, bool naive_templates,
               dd::tmpl::TemplateStats* tmpl_stats, int* worst_exit) {
   auto text = ReadFile(path);
   if (!text) {
@@ -332,13 +370,6 @@ bool RunBatch(dd::Reasoner* reasoner, const std::string& path,
     return false;
   }
 
-  dd::batch::BatchOptions bo;
-  bo.num_threads = threads;
-  bo.cache = cache;
-  bo.deadline_ms = query_opts.deadline_ms;
-  bo.conflict_budget = query_opts.conflict_budget;
-  bo.oracle_call_budget = query_opts.oracle_call_budget;
-  bo.cancel = query_opts.cancel;
   std::vector<std::string> outputs(parsed->queries.size());
   for (const auto& g : parsed->groups) {
     auto r = g.brave ? reasoner->AnswerBatchCredulous(g.kind, g.queries, bo)
@@ -348,34 +379,20 @@ bool RunBatch(dd::Reasoner* reasoner, const std::string& path,
       return false;
     }
     for (size_t k = 0; k < g.slots.size(); ++k) {
-      dd::Trilean a = r->answers[k];
-      if (a == dd::Trilean::kUnknown) {
-        outputs[g.slots[k]] = "unknown (out of budget)\n";
-        *worst_exit = 2;
-      } else {
-        outputs[g.slots[k]] = a == dd::Trilean::kYes ? "yes\n" : "no\n";
-      }
+      outputs[g.slots[k]] = Verdict(r->answers[k], worst_exit);
     }
   }
   for (size_t i = 0; i < parsed->queries.size(); ++i) {
     const dd::batch::ParsedQuery& q = parsed->queries[i];
     if (!q.is_template) continue;
-    dd::tmpl::TemplateOptions topts;
-    topts.naive = naive_templates;
-    topts.batch = bo;
-    auto a = dd::tmpl::AnswerTemplateText(
-        reasoner, q.kind, q.query.text,
-        q.brave ? dd::batch::BatchMode::kBrave
-                : dd::batch::BatchMode::kSkeptical,
-        topts);
-    if (!a.ok()) {
+    auto block = AnswerTemplate(reasoner, q, bo, naive_templates, tmpl_stats,
+                                worst_exit);
+    if (!block.ok()) {
       std::fprintf(stderr, "ddquery: %s line %d: %s\n", path.c_str(), q.line,
-                   a.status().ToString().c_str());
+                   block.status().ToString().c_str());
       return false;
     }
-    tmpl_stats->Add(a->stats);
-    if (!a->unknown.empty()) *worst_exit = 2;
-    outputs[i] = dd::tmpl::FormatAnswer(*a);
+    outputs[i] = std::move(*block);
   }
   for (const std::string& out : outputs) {
     std::printf("%s", out.c_str());
@@ -585,14 +602,24 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The one set of batch options every batched path shares: --batch
+  // groups and templates, the shell's template verbs and, under
+  // --cache-file, its lit/infer verbs.
+  dd::batch::BatchOptions batch_opts;
+  batch_opts.num_threads = static_cast<int>(num_threads);
+  batch_opts.cache = answer_cache.get();
+  batch_opts.deadline_ms = query_opts.deadline_ms;
+  batch_opts.conflict_budget = query_opts.conflict_budget;
+  batch_opts.oracle_call_budget = query_opts.oracle_call_budget;
+  batch_opts.cancel = query_opts.cancel;
+
   // Set to 2 when any budgeted query exhausts its budget; distinct from the
   // load/parse failure exit (1) above.
   int worst_exit = 0;
   dd::tmpl::TemplateStats tmpl_stats;
   if (!batch_path.empty() &&
-      !RunBatch(&reasoner, batch_path, query_opts,
-                static_cast<int>(num_threads), naive_templates,
-                answer_cache.get(), &tmpl_stats, &worst_exit)) {
+      !RunBatch(&reasoner, batch_path, batch_opts, naive_templates,
+                &tmpl_stats, &worst_exit)) {
     return 1;
   }
   std::string line;
@@ -685,53 +712,61 @@ int main(int argc, char** argv) {
       continue;
     }
 
-    if (cmd == "answers" || cmd == "banswers") {
-      std::string sem_name;
-      if (!(in >> sem_name)) {
-        std::printf("missing semantics name\n");
+    // The query verbs share the .queries grammar (batch::ParseRequest).
+    if (cmd == "lit" || cmd == "infer" || cmd == "brave" || cmd == "answers" ||
+        cmd == "banswers") {
+      std::string args;
+      std::getline(in, args);
+      std::string_view rest = args;
+      const std::string_view sem = dd::batch::NextToken(&rest);
+      auto req = dd::batch::ParseRequest(cmd, sem, rest);
+      if (!req.ok()) {
+        std::printf("%s\n", req.status().message().c_str());
         continue;
       }
-      auto kind = dd::SemanticsKindFromName(sem_name);
-      if (!kind) {
-        std::printf("unknown semantics '%s'\n", sem_name.c_str());
+      const std::string& text = req->query.text;
+      if (req->is_template) {
+        // The same function and options as --batch template lines, so
+        // replaying a .queries file through the shell prints byte-identical
+        // blocks.
+        auto block = AnswerTemplate(&reasoner, *req, batch_opts,
+                                    naive_templates, &tmpl_stats, &worst_exit);
+        if (block.ok()) {
+          std::printf("%s", block->c_str());
+        } else {
+          std::printf("%s\n", block.status().ToString().c_str());
+          if (block.status().IsBudgetExhaustion()) worst_exit = 2;
+        }
         continue;
       }
-      std::string rest;
-      std::getline(in, rest);
-      if (dd::Trim(rest).empty()) {
-        std::printf("missing template (e.g. answers gcwa p(X))\n");
-        continue;
+      dd::Result<dd::Trilean> verdict = dd::Trilean::kUnknown;
+      if (req->brave) {
+        // Routed through the Reasoner wrapper so the budget flags and the
+        // trace apply to credulous queries too.
+        verdict = reasoner.InfersCredulously(req->kind, text, query_opts);
+      } else if (answer_cache != nullptr) {
+        // --cache-file: route through AnswerBatch so the persistent cache
+        // applies (a one-query batch answers identically to the plain path
+        // — docs/BATCHING.md).
+        auto r = reasoner.AnswerBatch(req->kind, {req->query}, batch_opts);
+        verdict = r.ok() ? dd::Result<dd::Trilean>(r->answers[0])
+                         : dd::Result<dd::Trilean>(r.status());
+      } else if (!query_opts.unlimited()) {
+        verdict = req->query.is_literal
+                      ? reasoner.InfersLiteral(req->kind, text, query_opts)
+                      : reasoner.InfersFormula(req->kind, text, query_opts);
+      } else {
+        verdict = Definite(req->query.is_literal
+                               ? reasoner.InfersLiteral(req->kind, text)
+                               : reasoner.InfersFormula(req->kind, text));
       }
-      // The same TemplateOptions the --batch path builds, so replaying a
-      // .queries file through the shell prints byte-identical blocks.
-      dd::tmpl::TemplateOptions topts;
-      topts.naive = naive_templates;
-      topts.batch.num_threads = static_cast<int>(num_threads);
-      topts.batch.cache = answer_cache.get();
-      topts.batch.deadline_ms = query_opts.deadline_ms;
-      topts.batch.conflict_budget = query_opts.conflict_budget;
-      topts.batch.oracle_call_budget = query_opts.oracle_call_budget;
-      topts.batch.cancel = query_opts.cancel;
-      auto a = dd::tmpl::AnswerTemplateText(
-          &reasoner, *kind, rest,
-          cmd == "banswers" ? dd::batch::BatchMode::kBrave
-                            : dd::batch::BatchMode::kSkeptical,
-          topts);
-      if (!a.ok()) {
-        std::printf("%s\n", a.status().ToString().c_str());
-        if (a.status().IsBudgetExhaustion()) worst_exit = 2;
-        continue;
-      }
-      tmpl_stats.Add(a->stats);
-      if (!a->unknown.empty()) worst_exit = 2;
-      std::printf("%s", dd::tmpl::FormatAnswer(*a).c_str());
+      std::printf("%s", Verdict(verdict, &worst_exit).c_str());
       continue;
     }
 
     // Remaining commands start with a semantics name.
-    std::string sem_name;
-    if (cmd == "models" || cmd == "infer" || cmd == "lit" ||
-        cmd == "exists" || cmd == "brave" || cmd == "why") {
+    if (cmd == "models" || cmd == "exists" || cmd == "why") {
+      std::string sem_name;
       if (!(in >> sem_name)) {
         std::printf("missing semantics name\n");
         continue;
@@ -770,96 +805,27 @@ int main(int argc, char** argv) {
                         .c_str(),
                     models->size());
       } else if (cmd == "exists") {
-        if (!query_opts.unlimited()) {
-          auto r = reasoner.HasModel(*kind, query_opts);
-          if (!r.ok()) {
-            std::printf("%s\n", r.status().ToString().c_str());
-          } else if (*r == dd::Trilean::kUnknown) {
-            std::printf("unknown (out of budget)\n");
-            worst_exit = 2;
-          } else {
-            std::printf("%s\n", *r == dd::Trilean::kYes ? "yes" : "no");
-          }
-          continue;
-        }
-        auto r = reasoner.HasModel(*kind);
-        std::printf("%s\n", r.ok() ? (*r ? "yes" : "no")
-                                   : r.status().ToString().c_str());
-      } else if (cmd == "brave" || cmd == "why") {
-        // Routed through the Reasoner wrappers so the budget flags and the
-        // trace apply to credulous/certificate queries too.
-        std::string rest;
-        std::getline(in, rest);
-        if (cmd == "brave") {
-          auto r = reasoner.InfersCredulously(*kind, rest, query_opts);
-          if (!r.ok()) {
-            std::printf("%s\n", r.status().ToString().c_str());
-          } else if (*r == dd::Trilean::kUnknown) {
-            std::printf("unknown (out of budget)\n");
-            worst_exit = 2;
-          } else {
-            std::printf("%s\n", *r == dd::Trilean::kYes ? "yes" : "no");
-          }
-        } else {
-          auto ce = reasoner.FindCounterexample(*kind, rest, query_opts);
-          if (!ce.ok()) {
-            std::printf("%s\n", ce.status().ToString().c_str());
-            // Budget exhaustion (deadline/conflicts/oracle calls or
-            // external kCancelled) keeps the budget exit code.
-            if (ce.status().IsBudgetExhaustion()) worst_exit = 2;
-          } else if (!ce->has_value()) {
-            std::printf("inferred: true in every %s model\n",
-                        sem_name.c_str());
-          } else {
-            std::printf(
-                "not inferred: counter-model %s\n",
-                (*ce)->ToString(reasoner.db().vocabulary()).c_str());
-          }
-        }
+        std::printf("%s", Verdict(query_opts.unlimited()
+                                      ? Definite(reasoner.HasModel(*kind))
+                                      : reasoner.HasModel(*kind, query_opts),
+                                  &worst_exit)
+                              .c_str());
       } else {
         std::string rest;
         std::getline(in, rest);
-        if (answer_cache != nullptr) {
-          // --cache-file: route through AnswerBatch so the persistent
-          // cache applies (a one-query batch answers identically to the
-          // plain path — docs/BATCHING.md).
-          dd::batch::BatchOptions bo;
-          bo.cache = answer_cache.get();
-          bo.deadline_ms = query_opts.deadline_ms;
-          bo.conflict_budget = query_opts.conflict_budget;
-          bo.oracle_call_budget = query_opts.oracle_call_budget;
-          bo.cancel = query_opts.cancel;
-          auto r = reasoner.AnswerBatch(
-              *kind, {dd::batch::BatchQuery{rest, cmd == "lit"}}, bo);
-          if (!r.ok()) {
-            std::printf("%s\n", r.status().ToString().c_str());
-          } else if (r->answers[0] == dd::Trilean::kUnknown) {
-            std::printf("unknown (out of budget)\n");
-            worst_exit = 2;
-          } else {
-            std::printf("%s\n",
-                        r->answers[0] == dd::Trilean::kYes ? "yes" : "no");
-          }
-          continue;
+        auto ce = reasoner.FindCounterexample(*kind, rest, query_opts);
+        if (!ce.ok()) {
+          std::printf("%s\n", ce.status().ToString().c_str());
+          // Budget exhaustion (deadline/conflicts/oracle calls or
+          // external kCancelled) keeps the budget exit code.
+          if (ce.status().IsBudgetExhaustion()) worst_exit = 2;
+        } else if (!ce->has_value()) {
+          std::printf("inferred: true in every %s model\n",
+                      sem_name.c_str());
+        } else {
+          std::printf("not inferred: counter-model %s\n",
+                      (*ce)->ToString(reasoner.db().vocabulary()).c_str());
         }
-        if (!query_opts.unlimited()) {
-          auto r = cmd == "infer"
-                       ? reasoner.InfersFormula(*kind, rest, query_opts)
-                       : reasoner.InfersLiteral(*kind, rest, query_opts);
-          if (!r.ok()) {
-            std::printf("%s\n", r.status().ToString().c_str());
-          } else if (*r == dd::Trilean::kUnknown) {
-            std::printf("unknown (out of budget)\n");
-            worst_exit = 2;
-          } else {
-            std::printf("%s\n", *r == dd::Trilean::kYes ? "yes" : "no");
-          }
-          continue;
-        }
-        auto r = cmd == "infer" ? reasoner.InfersFormula(*kind, rest)
-                                : reasoner.InfersLiteral(*kind, rest);
-        std::printf("%s\n", r.ok() ? (*r ? "yes" : "no")
-                                   : r.status().ToString().c_str());
       }
       continue;
     }

@@ -24,8 +24,12 @@
 #   9. batched-query A/B: every examples/programs/*.queries file runs
 #      once through `ddquery --batch` (4 workers) and once line-by-line
 #      through the interactive loop; the answer streams must be
-#      identical (docs/BATCHING.md determinism contract). First-order
-#      programs (.fodb) join via the grounder auto-detect.
+#      identical (docs/BATCHING.md determinism contract). The file is
+#      also replayed through `ddquery --serve`, its verbs mapped onto the
+#      protocol (lit|infer -> QUERY, brave -> BRAVE, answers|banswers ->
+#      ANSWERS); the verdicts, and the yes/unknown/candidates counts of
+#      template lines, must match --batch. First-order programs (.fodb)
+#      join via the grounder auto-detect.
 #  9b. template A/B: the first-order coloring3 and reach (recursive)
 #      workloads replayed under --naive-templates (sequential
 #      per-instantiation evaluation) must emit byte-identical answer
@@ -251,13 +255,38 @@ if [ -x "$QUERY_BIN" ]; then
     if ! diff -u "$BATCH_TMP/seq.out" "$BATCH_TMP/batch.out"; then
       echo "batch: $prog batch/interactive answers differ"; BATCH_FAILED=1
     fi
+    # Serve leg: the same file mapped onto the serve protocol (lit|infer ->
+    # QUERY <SEM> lit|infer, brave -> BRAVE <SEM>, answers|banswers ->
+    # ANSWERS <SEM> skeptical|brave) must give the same verdicts, and the
+    # same yes/unknown/candidates counts for template lines.
+    sed -E -e 's/^[[:space:]]*(lit|infer)[[:space:]]+([^[:space:]]+)[[:space:]]+/QUERY \2 \1 /' \
+        -e 's/^[[:space:]]*brave[[:space:]]+/BRAVE /' \
+        -e 's/^[[:space:]]*answers[[:space:]]+([^[:space:]]+)[[:space:]]+/ANSWERS \1 skeptical /' \
+        -e 's/^[[:space:]]*banswers[[:space:]]+([^[:space:]]+)[[:space:]]+/ANSWERS \1 brave /' \
+        "$q" >"$BATCH_TMP/serve.in"
+    if ! "$QUERY_BIN" --serve "$prog" <"$BATCH_TMP/serve.in" \
+         >"$BATCH_TMP/serve.raw" 2>/dev/null; then
+      echo "batch: serve replay of $q exited nonzero"
+      cat "$BATCH_TMP/serve.raw"; BATCH_FAILED=1; continue
+    fi
+    sed -E -n \
+        -e 's/^ANSWER ([a-z]+) .*/\1/p' \
+        -e 's/^ANSWERS yes=([0-9]+) unknown=([0-9]+) candidates=([0-9]+) rungs=[0-9]+ vacuous=1.*/answers: \1 yes, \2 unknown, \3 candidates (no intended model: vacuous)/p' \
+        -e 's/^ANSWERS yes=([0-9]+) unknown=([0-9]+) candidates=([0-9]+).*/answers: \1 yes, \2 unknown, \3 candidates/p' \
+        -e '/^(ERR|UNAVAILABLE) /p' \
+        "$BATCH_TMP/serve.raw" >"$BATCH_TMP/serve.out"
+    grep -Ev '^(answer|unknown): ' "$BATCH_TMP/batch.out" \
+      | sed -E 's/^unknown \(out of budget\)$/unknown/' >"$BATCH_TMP/batch.verdicts"
+    if ! diff -u "$BATCH_TMP/batch.verdicts" "$BATCH_TMP/serve.out"; then
+      echo "batch: $prog batch/serve answers differ"; BATCH_FAILED=1
+    fi
   done
   if [ "$BATCH_COUNT" -eq 0 ]; then
     echo "batch: no .queries files found"; FAILED=1
   elif [ "$BATCH_FAILED" -ne 0 ]; then
     FAILED=1
   else
-    echo "batch: OK (batch == interactive on $BATCH_COUNT programs)"
+    echo "batch: OK (batch == interactive == serve on $BATCH_COUNT programs)"
   fi
   rm -rf "$BATCH_TMP"
 else

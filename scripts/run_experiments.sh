@@ -35,7 +35,7 @@ for arg in "$@"; do
 done
 set -- ${ARGS+"${ARGS[@]}"}
 
-cmake -B build -G Ninja
+cmake -B build -S .
 cmake --build build
 
 if [ "$SMALL" -eq 1 ]; then

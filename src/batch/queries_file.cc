@@ -10,8 +10,13 @@ namespace batch {
 
 namespace {
 
-/// Splits off the first whitespace-delimited token of `s` (which may
-/// contain NUL or arbitrary bytes — only ' ' and '\t' delimit).
+Status BadLine(int lineno, const std::string& why) {
+  return Status::InvalidArgument(StrFormat("queries line %d: %s", lineno,
+                                           why.c_str()));
+}
+
+}  // namespace
+
 std::string_view NextToken(std::string_view* s) {
   size_t start = s->find_first_not_of(" \t");
   if (start == std::string_view::npos) {
@@ -24,12 +29,30 @@ std::string_view NextToken(std::string_view* s) {
   return tok;
 }
 
-Status BadLine(int lineno, const std::string& why) {
-  return Status::InvalidArgument(StrFormat("queries line %d: %s", lineno,
-                                           why.c_str()));
+Result<Request> ParseRequest(std::string_view verb, std::string_view sem,
+                             std::string_view payload) {
+  const bool is_lit = verb == "lit";
+  const bool is_template = verb == "answers" || verb == "banswers";
+  const bool is_brave = verb == "brave" || verb == "banswers";
+  if (!is_lit && !is_brave && !is_template && verb != "infer") {
+    return Status::InvalidArgument(
+        "expected 'lit', 'infer', 'brave', 'answers' or 'banswers', got '" +
+        std::string(verb) + "'");
+  }
+  if (sem.empty()) return Status::InvalidArgument("missing semantics name");
+  auto kind = SemanticsKindFromName(sem);
+  if (!kind) {
+    return Status::InvalidArgument("unknown semantics '" + std::string(sem) +
+                                   "'");
+  }
+  payload = Trim(payload);
+  if (payload.empty()) {
+    return Status::InvalidArgument(is_template ? "empty template"
+                                               : "empty query");
+  }
+  return Request{*kind, is_brave, is_template,
+                 BatchQuery{std::string(payload), is_lit}};
 }
-
-}  // namespace
 
 Result<QueriesFile> ParseQueriesFile(std::string_view text) {
   if (text.size() > kMaxQueriesFile) {
@@ -55,39 +78,24 @@ Result<QueriesFile> ParseQueriesFile(std::string_view text) {
     std::string_view rest = line;
     std::string_view cmd = NextToken(&rest);
     if (cmd.empty() || cmd[0] == '#') continue;
-    const bool is_lit = cmd == "lit";
-    const bool is_template = cmd == "answers" || cmd == "banswers";
-    const bool is_brave = cmd == "brave" || cmd == "banswers";
-    if (!is_lit && !is_brave && !is_template && cmd != "infer") {
-      return BadLine(lineno,
-                     "expected 'lit', 'infer', 'brave', 'answers' or "
-                     "'banswers', got '" +
-                         std::string(cmd) + "'");
-    }
-    std::string_view sem_name = NextToken(&rest);
-    auto kind = SemanticsKindFromName(sem_name);
-    if (!kind) {
-      return BadLine(lineno,
-                     "unknown semantics '" + std::string(sem_name) + "'");
-    }
-    std::string_view query = Trim(rest);
-    if (query.empty()) return BadLine(lineno, "empty query");
+    std::string_view sem = NextToken(&rest);
+    Result<Request> req = ParseRequest(cmd, sem, rest);
+    if (!req.ok()) return BadLine(lineno, req.status().message());
 
     const int slot = static_cast<int>(out.queries.size());
-    out.queries.push_back(
-        ParsedQuery{*kind, is_brave, is_template,
-                    BatchQuery{std::string(query), is_lit}, lineno});
+    out.queries.push_back(ParsedQuery{std::move(*req), lineno});
+    const ParsedQuery& q = out.queries.back();
     // Template lines are answered per line (tmpl::AnswerTemplate issues its
     // own batch over the instantiations), so they join no group.
-    if (is_template) continue;
-    auto [it, inserted] = group_of.emplace(
-        std::make_pair(*kind, is_brave), static_cast<int>(out.groups.size()));
+    if (q.is_template) continue;
+    auto [it, inserted] = group_of.emplace(std::make_pair(q.kind, q.brave),
+                                           static_cast<int>(out.groups.size()));
     if (inserted) {
-      out.groups.push_back(QueriesFile::Group{*kind, is_brave, {}, {}});
+      out.groups.push_back(QueriesFile::Group{q.kind, q.brave, {}, {}});
     }
     QueriesFile::Group& g = out.groups[it->second];
     g.slots.push_back(slot);
-    g.queries.push_back(out.queries.back().query);
+    g.queries.push_back(q.query);
   }
   return out;
 }

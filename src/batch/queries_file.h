@@ -1,5 +1,6 @@
-// Hardened parser for .queries files (the ddquery --batch input format
-// and the serve-mode QUERY payload's file sibling).
+// Hardened parser for .queries files (the ddquery --batch input format)
+// and the one verb grammar behind it, ParseRequest, which the ddquery
+// shell and the serve protocol's QUERY/BRAVE/ANSWERS verbs share.
 //
 // Format, one query per line:
 //
@@ -42,20 +43,27 @@
 namespace dd {
 namespace batch {
 
-/// Longest accepted .queries line, in bytes (excluding the newline).
+/// Longest accepted .queries line or serve protocol line, in bytes
+/// (excluding the newline).
 constexpr size_t kMaxQueryLine = 1 << 20;
 /// Largest accepted .queries file, in bytes.
 constexpr size_t kMaxQueriesFile = size_t{1} << 30;
 
-/// One parsed query line, tagged with its input position.
-struct ParsedQuery {
+/// One request in the verb grammar shared by .queries lines, the ddquery
+/// shell's query verbs and the serve protocol (ParseRequest below).
+struct Request {
   SemanticsKind kind = SemanticsKind::kGcwa;
-  bool brave = false;  ///< credulous mode ("brave"/"banswers" commands)
-  /// Template line ("answers"/"banswers"): `query.text` holds the raw
-  /// template for tmpl::AnswerTemplateText, and the line joins no group —
-  /// a template already fans out into one batch of its own.
+  bool brave = false;  ///< credulous mode ("brave"/"banswers" verbs)
+  /// Template request ("answers"/"banswers"): `query.text` holds the raw
+  /// template for tmpl::AnswerTemplateText, and a .queries line of this
+  /// kind joins no group — a template already fans out into one batch of
+  /// its own.
   bool is_template = false;
   BatchQuery query;
+};
+
+/// One parsed .queries line, tagged with its input position.
+struct ParsedQuery : Request {
   int line = 0;  ///< 1-based source line, for error attribution
 };
 
@@ -75,10 +83,24 @@ struct QueriesFile {
   std::vector<Group> groups;
 };
 
-/// Parses .queries text. Any malformed line — unknown command, unknown
-/// semantics, empty query, overlong line — fails the whole parse with a
-/// line-numbered InvalidArgument (batch answers are positional; skipping
-/// bad lines silently would shift every answer after them).
+/// Splits off the first whitespace-delimited token of `*s` (which may
+/// contain NUL or arbitrary bytes — only ' ' and '\t' delimit) and
+/// advances `*s` past it; empty when `*s` holds no token.
+std::string_view NextToken(std::string_view* s);
+
+/// The one verb grammar: turns a verb (lit, infer, brave, answers or
+/// banswers), a semantics name and the query payload into a Request.
+/// Unknown verbs, a missing or unknown semantics name and an empty
+/// payload (after trimming) are InvalidArgument. The serve protocol maps
+/// its QUERY/BRAVE/ANSWERS verbs onto these (serve/server.h).
+Result<Request> ParseRequest(std::string_view verb, std::string_view sem,
+                             std::string_view payload);
+
+/// Parses .queries text, one ParseRequest per line. Any malformed line —
+/// unknown command, unknown semantics, empty query, overlong line — fails
+/// the whole parse with a line-numbered InvalidArgument (batch answers
+/// are positional; skipping bad lines silently would shift every answer
+/// after them).
 Result<QueriesFile> ParseQueriesFile(std::string_view text);
 
 }  // namespace batch

@@ -1,6 +1,5 @@
 #include "core/oracle_stats.h"
 
-#include "obs/stats_view.h"
 #include "util/string_util.h"
 
 namespace dd {
@@ -63,15 +62,7 @@ std::string FormatStats(const MinimalStats& s,
 std::string FormatStats(const MinimalStats& s,
                         const analysis::DispatchStats& d,
                         const oracle::SessionStats& sess) {
-  // Round-trip through the registry: publish the structs, snapshot, and
-  // render the reconstructed views. The detour is deliberate — it makes
-  // this renderer (and its tests) a standing proof that the registry
-  // preserves every legacy counter.
-  obs::MetricsSnapshot snap = obs::SnapshotOf(s, &d, &sess);
-  const MinimalStats sv = obs::MinimalStatsView(snap);
-  const analysis::DispatchStats dv = obs::DispatchStatsView(snap);
-  const oracle::SessionStats ssv = obs::SessionStatsView(snap);
-  return FormatStats(sv) + " | " + dv.ToString() + SessionSuffix(ssv);
+  return FormatStats(s, d) + SessionSuffix(sess);
 }
 
 std::string FormatMeasuredTable(const std::string& title,

@@ -43,10 +43,7 @@ std::string FormatStats(const MinimalStats& s,
 /// The combined rendering: oracle counters, analyzer-dispatch downgrades,
 /// AND session reuse in one line ("… | dispatch: … | session: …"), so
 /// session-mode bench output can show engine downgrades next to session
-/// reuse. Implemented as a view over an obs::MetricsRegistry snapshot
-/// (src/obs/stats_view.h): the structs are published into a registry and
-/// re-read through the *View functions before rendering, which pins the
-/// struct<->registry round trip.
+/// reuse.
 std::string FormatStats(const MinimalStats& s,
                         const analysis::DispatchStats& d,
                         const oracle::SessionStats& sess);

@@ -34,7 +34,10 @@ class QuerySpan {
 
   /// Budget-consumption attribution: the budget is created fresh for one
   /// query, so its consumed() totals ARE this query's deltas.
-  void AttachBudget(std::shared_ptr<Budget> b) { budget_ = std::move(b); }
+  std::shared_ptr<Budget> AttachBudget(std::shared_ptr<Budget> b) {
+    budget_ = b;
+    return b;
+  }
 
   /// Extra per-span counters (the batch entry point annotates its span
   /// with pipeline totals: queries, groups, cache hits, ...).
@@ -401,23 +404,6 @@ Reasoner::Routed Reasoner::RouteHasModel(SemanticsKind kind) {
   return rt;
 }
 
-Result<bool> Reasoner::InfersLiteral(SemanticsKind kind,
-                                     std::string_view literal) {
-  int before = db_.num_vars();
-  DD_ASSIGN_OR_RETURN(Lit l, ParseLiteral(literal, &db_.vocabulary()));
-  if (db_.num_vars() != before) {
-    // The literal mentioned a fresh atom; rebuild engines (and the static
-    // analysis) so their variable ranges include it.
-    InvalidateCaches();
-  }
-  QuerySpan span(trace_, this, "InfersLiteral", kind);
-  Routed rt = RouteLiteral(kind, l);
-  if (rt.engine == nullptr) return fast_engine()->InfersLiteral(rt.path, l);
-  Result<bool> r = rt.engine->InfersLiteral(l);
-  DrainHcfCertificates();
-  return r;
-}
-
 Result<Formula> Reasoner::ParseQueryFormula(std::string_view formula) {
   int before = db_.num_vars();
   DD_ASSIGN_OR_RETURN(Formula f, ParseFormula(formula, &db_.vocabulary()));
@@ -432,26 +418,6 @@ Var Reasoner::InternQueryAtom(const std::string& name) {
   const Var v = voc.Intern(name);
   InvalidateCaches();
   return v;
-}
-
-Result<bool> Reasoner::InfersFormula(SemanticsKind kind,
-                                     std::string_view formula) {
-  DD_ASSIGN_OR_RETURN(Formula f, ParseQueryFormula(formula));
-  QuerySpan span(trace_, this, "InfersFormula", kind);
-  Routed rt = RouteFormula(kind, f);
-  if (rt.engine == nullptr) return fast_engine()->InfersFormula(rt.path, f);
-  Result<bool> r = rt.engine->InfersFormula(f);
-  DrainHcfCertificates();
-  return r;
-}
-
-Result<bool> Reasoner::HasModel(SemanticsKind kind) {
-  QuerySpan span(trace_, this, "HasModel", kind);
-  Routed rt = RouteHasModel(kind);
-  if (rt.engine == nullptr) return fast_engine()->HasModel(rt.path);
-  Result<bool> r = rt.engine->HasModel();
-  DrainHcfCertificates();
-  return r;
 }
 
 Result<std::vector<Interpretation>> Reasoner::Models(SemanticsKind kind,
@@ -519,6 +485,21 @@ class ScopedBudget {
   bool installed_ = false;
 };
 
+/// The per-query environment of one engine call: q's trace and a fresh
+/// budget built from q, installed on `s` for the scope and attributed to
+/// `span`. With default QueryOptions both are no-ops.
+class EngineScope {
+ public:
+  EngineScope(Semantics* s, const QueryOptions& q,
+              obs::TraceContext* fallback, QuerySpan* span)
+      : traced_(s, q.trace, fallback),
+        budget_(s, span->AttachBudget(MakeQueryBudget(q))) {}
+
+ private:
+  ScopedTrace traced_;
+  ScopedBudget budget_;
+};
+
 /// Budget exhaustion degrades to kUnknown; every other Status propagates.
 Result<Trilean> ToTrilean(const Result<bool>& r) {
   if (r.ok()) return TrileanFromBool(*r);
@@ -528,9 +509,9 @@ Result<Trilean> ToTrilean(const Result<bool>& r) {
 
 }  // namespace
 
-Result<Trilean> Reasoner::InfersLiteral(SemanticsKind kind,
-                                        std::string_view literal,
-                                        const QueryOptions& q) {
+Result<bool> Reasoner::LiteralQuery(SemanticsKind kind,
+                                    std::string_view literal,
+                                    const QueryOptions& q) {
   // Parse first: interning a fresh atom invalidates the engine cache, and
   // the budget must be installed on the engine that runs the query.
   int before = db_.num_vars();
@@ -539,63 +520,76 @@ Result<Trilean> Reasoner::InfersLiteral(SemanticsKind kind,
   QuerySpan span(q.trace != nullptr ? q.trace : trace_, this, "InfersLiteral",
                  kind);
   Routed rt = RouteLiteral(kind, l);
-  if (rt.engine == nullptr) {
-    // Polynomial fast path: completes without oracle calls, so the
-    // budget is irrelevant and the exact answer stands.
-    return ToTrilean(fast_engine()->InfersLiteral(rt.path, l));
-  }
-  ScopedTrace traced(rt.engine, q.trace, trace_);
-  std::shared_ptr<Budget> b = MakeQueryBudget(q);
-  span.AttachBudget(b);
-  ScopedBudget scope(rt.engine, std::move(b));
+  // Polynomial fast path: completes without oracle calls, so the budget is
+  // irrelevant and the exact answer stands.
+  if (rt.engine == nullptr) return fast_engine()->InfersLiteral(rt.path, l);
+  EngineScope scope(rt.engine, q, trace_, &span);
   Result<bool> r = rt.engine->InfersLiteral(l);
   DrainHcfCertificates();
-  return ToTrilean(r);
+  return r;
+}
+
+Result<bool> Reasoner::FormulaQuery(SemanticsKind kind,
+                                    std::string_view formula,
+                                    const QueryOptions& q) {
+  DD_ASSIGN_OR_RETURN(Formula f, ParseQueryFormula(formula));
+  QuerySpan span(q.trace != nullptr ? q.trace : trace_, this, "InfersFormula",
+                 kind);
+  Routed rt = RouteFormula(kind, f);
+  if (rt.engine == nullptr) return fast_engine()->InfersFormula(rt.path, f);
+  EngineScope scope(rt.engine, q, trace_, &span);
+  Result<bool> r = rt.engine->InfersFormula(f);
+  DrainHcfCertificates();
+  return r;
+}
+
+Result<bool> Reasoner::HasModelQuery(SemanticsKind kind,
+                                     const QueryOptions& q) {
+  QuerySpan span(q.trace != nullptr ? q.trace : trace_, this, "HasModel",
+                 kind);
+  Routed rt = RouteHasModel(kind);
+  if (rt.engine == nullptr) return fast_engine()->HasModel(rt.path);
+  EngineScope scope(rt.engine, q, trace_, &span);
+  Result<bool> r = rt.engine->HasModel();
+  DrainHcfCertificates();
+  return r;
+}
+
+Result<bool> Reasoner::InfersLiteral(SemanticsKind kind,
+                                     std::string_view literal) {
+  return LiteralQuery(kind, literal, QueryOptions{});
+}
+
+Result<bool> Reasoner::InfersFormula(SemanticsKind kind,
+                                     std::string_view formula) {
+  return FormulaQuery(kind, formula, QueryOptions{});
+}
+
+Result<bool> Reasoner::HasModel(SemanticsKind kind) {
+  return HasModelQuery(kind, QueryOptions{});
+}
+
+Result<Trilean> Reasoner::InfersLiteral(SemanticsKind kind,
+                                        std::string_view literal,
+                                        const QueryOptions& q) {
+  return ToTrilean(LiteralQuery(kind, literal, q));
 }
 
 Result<Trilean> Reasoner::InfersFormula(SemanticsKind kind,
                                         std::string_view formula,
                                         const QueryOptions& q) {
-  DD_ASSIGN_OR_RETURN(Formula f, ParseQueryFormula(formula));
-  QuerySpan span(q.trace != nullptr ? q.trace : trace_, this, "InfersFormula",
-                 kind);
-  Routed rt = RouteFormula(kind, f);
-  if (rt.engine == nullptr) {
-    return ToTrilean(fast_engine()->InfersFormula(rt.path, f));
-  }
-  ScopedTrace traced(rt.engine, q.trace, trace_);
-  std::shared_ptr<Budget> b = MakeQueryBudget(q);
-  span.AttachBudget(b);
-  ScopedBudget scope(rt.engine, std::move(b));
-  Result<bool> r = rt.engine->InfersFormula(f);
-  DrainHcfCertificates();
-  return ToTrilean(r);
+  return ToTrilean(FormulaQuery(kind, formula, q));
 }
 
 Result<Trilean> Reasoner::HasModel(SemanticsKind kind, const QueryOptions& q) {
-  QuerySpan span(q.trace != nullptr ? q.trace : trace_, this, "HasModel",
-                 kind);
-  Routed rt = RouteHasModel(kind);
-  if (rt.engine == nullptr) {
-    return ToTrilean(fast_engine()->HasModel(rt.path));
-  }
-  ScopedTrace traced(rt.engine, q.trace, trace_);
-  std::shared_ptr<Budget> b = MakeQueryBudget(q);
-  span.AttachBudget(b);
-  ScopedBudget scope(rt.engine, std::move(b));
-  Result<bool> r = rt.engine->HasModel();
-  DrainHcfCertificates();
-  return ToTrilean(r);
+  return ToTrilean(HasModelQuery(kind, q));
 }
 
 Result<ModelsAnswer> Reasoner::Models(SemanticsKind kind, int64_t cap,
                                       const QueryOptions& q) {
   QuerySpan span(q.trace != nullptr ? q.trace : trace_, this, "Models", kind);
   Semantics* s = Get(kind);
-  ScopedTrace traced(s, q.trace, trace_);
-  std::shared_ptr<Budget> b = MakeQueryBudget(q);
-  span.AttachBudget(b);
-  ScopedBudget scope(s, std::move(b));
+  EngineScope scope(s, q, trace_, &span);
   Result<std::vector<Interpretation>> r = s->Models(cap);
   ModelsAnswer out;
   if (r.ok()) {
@@ -620,10 +614,7 @@ Result<Trilean> Reasoner::InfersCredulously(SemanticsKind kind,
   QuerySpan span(q.trace != nullptr ? q.trace : trace_, this,
                  "InfersCredulously", kind);
   Semantics* s = Get(kind);
-  ScopedTrace traced(s, q.trace, trace_);
-  std::shared_ptr<Budget> b = MakeQueryBudget(q);
-  span.AttachBudget(b);
-  ScopedBudget scope(s, std::move(b));
+  EngineScope scope(s, q, trace_, &span);
   return ToTrilean(s->InfersCredulously(f));
 }
 
@@ -633,10 +624,7 @@ Result<std::optional<Interpretation>> Reasoner::FindCounterexample(
   QuerySpan span(q.trace != nullptr ? q.trace : trace_, this,
                  "FindCounterexample", kind);
   Semantics* s = Get(kind);
-  ScopedTrace traced(s, q.trace, trace_);
-  std::shared_ptr<Budget> b = MakeQueryBudget(q);
-  span.AttachBudget(b);
-  ScopedBudget scope(s, std::move(b));
+  EngineScope scope(s, q, trace_, &span);
   return s->FindCounterexample(f);
 }
 

@@ -295,6 +295,15 @@ class Reasoner {
   Routed RouteFormula(SemanticsKind kind, const Formula& f);
   Routed RouteHasModel(SemanticsKind kind);
 
+  /// The one body of each decision entry point: the bool overloads run it
+  /// with default QueryOptions (no budget, the reasoner trace), the
+  /// Trilean overloads map its budget exhaustion to kUnknown.
+  Result<bool> LiteralQuery(SemanticsKind kind, std::string_view literal,
+                            const QueryOptions& q);
+  Result<bool> FormulaQuery(SemanticsKind kind, std::string_view formula,
+                            const QueryOptions& q);
+  Result<bool> HasModelQuery(SemanticsKind kind, const QueryOptions& q);
+
   /// The one batched-inference pipeline, parameterized by mode (universal
   /// vs existential pass over the shared banks); AnswerBatch and
   /// AnswerBatchCredulous are thin wrappers.

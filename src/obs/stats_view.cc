@@ -24,11 +24,11 @@ const char* ExhaustionName(BudgetExhaustion e) {
 }  // namespace
 
 void Publish(const MinimalStats& s, MetricsRegistry* reg) {
-  reg->Add(kMinimalSatCalls, s.sat_calls);
-  reg->Add(kMinimalMinimizations, s.minimizations);
-  reg->Add(kMinimalCegar, s.cegar_iterations);
-  reg->Add(kMinimalModels, s.models_enumerated);
-  reg->Add(kMinimalHcfChecks, s.hcf_checks);
+  reg->Add("dd.minimal.sat_calls", s.sat_calls);
+  reg->Add("dd.minimal.minimizations", s.minimizations);
+  reg->Add("dd.minimal.cegar_iterations", s.cegar_iterations);
+  reg->Add("dd.minimal.models_enumerated", s.models_enumerated);
+  reg->Add("dd.minimal.hcf_checks", s.hcf_checks);
 }
 
 void Publish(const analysis::DispatchStats& d, MetricsRegistry* reg) {
@@ -71,62 +71,6 @@ void Publish(const Budget& b, MetricsRegistry* reg) {
   if (why != BudgetExhaustion::kNone) {
     reg->Add(std::string("dd.budget.exhausted.") + ExhaustionName(why), 1);
   }
-}
-
-MinimalStats MinimalStatsView(const MetricsSnapshot& snap) {
-  MinimalStats s;
-  s.sat_calls = snap.Value(kMinimalSatCalls);
-  s.minimizations = snap.Value(kMinimalMinimizations);
-  s.cegar_iterations = snap.Value(kMinimalCegar);
-  s.models_enumerated = snap.Value(kMinimalModels);
-  s.hcf_checks = snap.Value(kMinimalHcfChecks);
-  return s;
-}
-
-analysis::DispatchStats DispatchStatsView(const MetricsSnapshot& snap) {
-  analysis::DispatchStats d;
-  d.generic = snap.Value("dd.dispatch.generic");
-  d.fixpoint_literal = snap.Value("dd.dispatch.fixpoint_literal");
-  d.horn_least_model = snap.Value("dd.dispatch.horn_least_model");
-  d.certain_fact = snap.Value("dd.dispatch.certain_fact");
-  d.const_answer = snap.Value("dd.dispatch.const_answer");
-  d.slice_literal = snap.Value("dd.dispatch.slice");
-  d.module_formula = snap.Value("dd.dispatch.module");
-  d.hcf_unfounded = snap.Value("dd.dispatch.hcf");
-  return d;
-}
-
-oracle::SessionStats SessionStatsView(const MetricsSnapshot& snap) {
-  oracle::SessionStats s;
-  s.base_loads = snap.Value("dd.session.base_loads");
-  s.solves = snap.Value("dd.session.solves");
-  s.contexts_opened = snap.Value("dd.session.contexts_opened");
-  s.contexts_retired = snap.Value("dd.session.contexts_retired");
-  s.guarded_clauses = snap.Value("dd.session.guarded_clauses");
-  s.cache_hits = snap.Value("dd.session.cache_hits");
-  s.cache_misses = snap.Value("dd.session.cache_misses");
-  s.projections_replayed = snap.Value("dd.session.projections_replayed");
-  s.projections_discovered = snap.Value("dd.session.projections_discovered");
-  s.cache_evictions = snap.Value("dd.oracle.cache_evictions");
-  return s;
-}
-
-QbfStats QbfStatsView(const MetricsSnapshot& snap) {
-  QbfStats q;
-  q.candidate_calls = snap.Value("dd.qbf.candidate_calls");
-  q.verification_calls = snap.Value("dd.qbf.verification_calls");
-  q.refinements = snap.Value("dd.qbf.refinements");
-  return q;
-}
-
-MetricsSnapshot SnapshotOf(const MinimalStats& s,
-                           const analysis::DispatchStats* d,
-                           const oracle::SessionStats* sess) {
-  MetricsRegistry reg;
-  Publish(s, &reg);
-  if (d != nullptr) Publish(*d, &reg);
-  if (sess != nullptr) Publish(*sess, &reg);
-  return reg.Snapshot();
 }
 
 }  // namespace obs

@@ -11,16 +11,9 @@
 //                                 Counters are monotonic: publish a struct
 //                                 once (or publish deltas), never the same
 //                                 cumulative value twice.
-//   *View(snapshot)             — reconstructs a legacy struct as a thin
-//                                 view over a MetricsSnapshot, which is how
-//                                 the FormatStats renderers (and their
-//                                 existing test pins) keep working on top
-//                                 of registry data.
-//   SnapshotOf(...)             — one-shot: a snapshot holding exactly the
-//                                 given structs (bench rows, FormatStats).
 //
-// Round-trip contract (pinned by tests/obs_test.cc): for any struct s,
-// View(SnapshotOf(s)) == s, field for field.
+// Coverage contract (pinned by tests/obs_test.cc): Publish(s) writes every
+// field of s under its documented dd.* name.
 #ifndef DD_OBS_STATS_VIEW_H_
 #define DD_OBS_STATS_VIEW_H_
 
@@ -34,14 +27,8 @@
 namespace dd {
 namespace obs {
 
-// Canonical counter names (docs/OBSERVABILITY.md documents the scheme).
-inline constexpr const char* kMinimalSatCalls = "dd.minimal.sat_calls";
-inline constexpr const char* kMinimalMinimizations =
-    "dd.minimal.minimizations";
-inline constexpr const char* kMinimalCegar = "dd.minimal.cegar_iterations";
-inline constexpr const char* kMinimalModels = "dd.minimal.models_enumerated";
-inline constexpr const char* kMinimalHcfChecks = "dd.minimal.hcf_checks";
-
+/// Each folds one struct in under its canonical dd.* names
+/// (docs/OBSERVABILITY.md documents the scheme).
 void Publish(const MinimalStats& s, MetricsRegistry* reg);
 void Publish(const analysis::DispatchStats& d, MetricsRegistry* reg);
 void Publish(const oracle::SessionStats& s, MetricsRegistry* reg);
@@ -50,18 +37,6 @@ void Publish(const QbfStats& q, MetricsRegistry* reg);
 /// oracle_calls_consumed) and, when exhausted, one increment of
 /// dd.budget.exhausted.<reason>.
 void Publish(const Budget& b, MetricsRegistry* reg);
-
-MinimalStats MinimalStatsView(const MetricsSnapshot& snap);
-analysis::DispatchStats DispatchStatsView(const MetricsSnapshot& snap);
-oracle::SessionStats SessionStatsView(const MetricsSnapshot& snap);
-QbfStats QbfStatsView(const MetricsSnapshot& snap);
-
-/// A snapshot holding exactly the given structs (null pointers are
-/// omitted). The combined FormatStats overload and the bench harnesses'
-/// per-row counter snapshots are built through this.
-MetricsSnapshot SnapshotOf(const MinimalStats& s,
-                           const analysis::DispatchStats* d = nullptr,
-                           const oracle::SessionStats* sess = nullptr);
 
 }  // namespace obs
 }  // namespace dd

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "batch/queries_file.h"
 #include "logic/parser.h"
 #include "logic/printer.h"
 #include "util/string_util.h"
@@ -14,16 +15,19 @@ namespace serve {
 
 namespace {
 
-/// Protocol lines beyond this are refused (the serve-mode analogue of the
-/// .queries line cap — docs/SERVING.md §protocol).
-constexpr size_t kMaxProtocolLine = 1 << 20;
-
 /// Attribute-sized view of a query (trace attrs should not embed a
 /// megabyte formula).
-std::string QueryPreview(const std::string& text) {
+std::string QueryPreview(std::string_view text) {
   constexpr size_t kCap = 120;
-  if (text.size() <= kCap) return text;
-  return text.substr(0, kCap) + "...";
+  if (text.size() <= kCap) return std::string(text);
+  return std::string(text.substr(0, kCap)) + "...";
+}
+
+/// The response to a request that did not answer: shed requests are
+/// UNAVAILABLE, everything else is an ERR.
+std::string FailureResponse(const Status& s) {
+  if (s.code() == StatusCode::kUnavailable) return "UNAVAILABLE " + s.message();
+  return "ERR " + s.ToString();
 }
 
 }  // namespace
@@ -98,114 +102,71 @@ std::shared_ptr<QueryServer::Session> QueryServer::CurrentSession() const {
   return session_;
 }
 
-QueryServer::Answer QueryServer::Submit(SemanticsKind kind,
-                                        const batch::BatchQuery& query,
-                                        batch::BatchMode mode) {
+class QueryServer::Rung {
+ public:
+  /// What one request's rungs feed into ServeStats.
+  struct Tally {
+    int64_t cache_hits = 0;    ///< first rung, under the kind's rule
+    int64_t cache_misses = 0;  ///< first rung
+    int64_t bank_reuses = 0;   ///< every rung
+    bool answered = false;     ///< some rung produced an answer
+  };
+
+  Rung(obs::TraceContext* trace, int index, const Budget::Limits& lim,
+       Status* why, Tally* tally)
+      : span_(trace, "serve_rung", "serve"),
+        index_(index),
+        why_(why),
+        tally_(tally) {
+    span_.Counter("rung", index);
+    span_.Counter("conflict_limit", lim.conflict_budget);
+  }
+
+  obs::ScopedSpan& span() { return span_; }
+
+  /// The attempt failed with `s`: a budget status escalates to the next
+  /// rung, a hard error stops the ladder.
+  Trilean Fail(Status s) {
+    span_.Attr("status", s.ToString());
+    return Escalate(std::move(s));
+  }
+  /// The attempt answered but left work for a larger budget.
+  Trilean Escalate(Status why) {
+    *why_ = std::move(why);
+    return Trilean::kUnknown;
+  }
+  /// The attempt answered with batch stats `st`. `hits` is the kind's
+  /// cache-hit count for the request (counted on the first rung only).
+  void Answered(const batch::BatchStats& st, int64_t hits) {
+    tally_->answered = true;
+    if (index_ == 0) {
+      tally_->cache_hits = hits;
+      tally_->cache_misses = st.cache_misses;
+    }
+    tally_->bank_reuses += st.bank_store_hits;
+    span_.Counter("bank_reuses", st.bank_store_hits);
+  }
+
+ private:
+  obs::ScopedSpan span_;
+  int index_;
+  Status* why_;
+  Tally* tally_;
+};
+
+QueryServer::Outcome QueryServer::Serve(SemanticsKind kind,
+                                        batch::BatchMode mode,
+                                        bool is_template,
+                                        std::string_view text,
+                                        const RungFn& rung_fn) {
   const bool brave = mode == batch::BatchMode::kBrave;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.requests;
+    if (is_template) ++stats_.template_requests;
     if (brave) ++stats_.brave_requests;
   }
-  Result<RequestGate::Ticket> ticket = gate_.Enter();
-  if (!ticket.ok()) {
-    Answer a;
-    a.status = ticket.status();
-    return a;
-  }
-
-  obs::ScopedSpan request_span(opts_.trace, "serve_request", "serve");
-  request_span.Attr("semantics", SemanticsKindName(kind));
-  request_span.Attr("mode", brave ? "brave" : "skeptical");
-  request_span.Attr("query", QueryPreview(query.text));
-
-  // In-flight requests pin their session: a concurrent Reload swaps the
-  // server's pointer but cannot pull this database out from under us.
-  std::shared_ptr<Session> session = CurrentSession();
-  std::lock_guard<std::mutex> eval(session->eval_mu);
-
-  bool cache_hit = false;
-  int64_t first_rung_misses = 0;
-  int64_t bank_reuses = 0;
-  int rung_index = 0;
-  LadderResult lr = RunLadder(
-      opts_.retry, [&](const Budget::Limits& lim, Status* why) -> Trilean {
-        obs::ScopedSpan rung_span(opts_.trace, "serve_rung", "serve");
-        rung_span.Counter("rung", rung_index);
-        rung_span.Counter("conflict_limit", lim.conflict_budget);
-        batch::BatchOptions bo;
-        bo.num_threads = opts_.num_threads;
-        bo.model_bank_cap = opts_.model_bank_cap;
-        bo.cache = &session->cache;
-        // The session Reasoner's own bank store spans requests AND rungs:
-        // a retried query reuses every complete bank an earlier rung (or
-        // an earlier request) built instead of re-enumerating it — the
-        // ladder never rebuilds a bank it just finished.
-        bo.use_bank_store = opts_.bank_store_capacity > 0;
-        bo.bank_store_capacity = opts_.bank_store_capacity;
-        bo.deadline_ms = lim.deadline_ms;
-        bo.conflict_budget = lim.conflict_budget;
-        bo.oracle_call_budget = lim.oracle_call_budget;
-        bo.trace = opts_.trace;
-        auto r = brave
-                     ? session->reasoner.AnswerBatchCredulous(kind, {query}, bo)
-                     : session->reasoner.AnswerBatch(kind, {query}, bo);
-        if (!r.ok()) {
-          *why = r.status();
-          rung_span.Attr("status", r.status().ToString());
-          ++rung_index;
-          return Trilean::kUnknown;
-        }
-        if (rung_index == 0) {
-          cache_hit = r->stats.cache_hits > 0;
-          first_rung_misses = r->stats.cache_misses;
-        }
-        bank_reuses += r->stats.bank_store_hits;
-        rung_span.Counter("bank_reuses", r->stats.bank_store_hits);
-        rung_span.Attr("result", TrileanName(r->answers[0]));
-        ++rung_index;
-        return r->answers[0];
-      });
-
-  Answer a;
-  a.verdict = lr.answer;
-  a.rungs = lr.rungs;
-  a.cache_hit = cache_hit;
-  if (lr.answer == Trilean::kUnknown && !lr.exhausted.ok() &&
-      !lr.exhausted.IsBudgetExhaustion()) {
-    a.status = lr.exhausted;  // hard failure (parse error, precondition)
-  }
-  request_span.Counter("rungs", lr.rungs);
-  request_span.Counter("cache_hit", cache_hit ? 1 : 0);
-  request_span.Attr("result", TrileanName(lr.answer));
-
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_.rungs += lr.rungs;
-  stats_.escalations += lr.rungs - 1;
-  if (cache_hit) ++stats_.cache_hits;
-  stats_.cache_misses += first_rung_misses;
-  stats_.bank_reuses += bank_reuses;
-  if (!a.status.ok()) {
-    ++stats_.errors;
-  } else if (lr.answer == Trilean::kUnknown) {
-    ++stats_.unknowns;
-  } else if (lr.escalated) {
-    ++stats_.retry_successes;
-  }
-  return a;
-}
-
-QueryServer::TemplateResult QueryServer::SubmitTemplate(
-    SemanticsKind kind, std::string_view template_text,
-    batch::BatchMode mode) {
-  const bool brave = mode == batch::BatchMode::kBrave;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.requests;
-    ++stats_.template_requests;
-    if (brave) ++stats_.brave_requests;
-  }
-  TemplateResult out;
+  Outcome out;
   Result<RequestGate::Ticket> ticket = gate_.Enter();
   if (!ticket.ok()) {
     out.status = ticket.status();
@@ -213,92 +174,137 @@ QueryServer::TemplateResult QueryServer::SubmitTemplate(
   }
 
   obs::ScopedSpan request_span(opts_.trace, "serve_request", "serve");
-  request_span.Attr("semantics", SemanticsKindName(kind));
-  request_span.Attr("mode", brave ? "brave" : "skeptical");
-  request_span.Attr("template", QueryPreview(std::string(template_text)));
+  if (request_span) {
+    request_span.Attr("semantics", SemanticsKindName(kind));
+    request_span.Attr("mode", brave ? "brave" : "skeptical");
+    request_span.Attr(is_template ? "template" : "query", QueryPreview(text));
+  }
 
+  // In-flight requests pin their session: a concurrent Reload swaps the
+  // server's pointer but cannot pull this database out from under us.
   std::shared_ptr<Session> session = CurrentSession();
   std::lock_guard<std::mutex> eval(session->eval_mu);
 
-  int64_t bank_reuses = 0;
-  int64_t first_rung_hits = 0;
-  int64_t first_rung_misses = 0;
+  batch::BatchOptions bo;
+  bo.num_threads = opts_.num_threads;
+  bo.model_bank_cap = opts_.model_bank_cap;
+  bo.cache = &session->cache;
+  // The session Reasoner's own bank store spans requests AND rungs: a
+  // retried query reuses every complete bank an earlier rung (or an
+  // earlier request) built instead of re-enumerating it — the ladder
+  // never rebuilds a bank it just finished.
+  bo.use_bank_store = opts_.bank_store_capacity > 0;
+  bo.bank_store_capacity = opts_.bank_store_capacity;
+  bo.trace = opts_.trace;
+
+  Rung::Tally tally;
   int rung_index = 0;
-  bool have_answer = false;
-  LadderResult lr = RunLadder(
+  const LadderResult lr = RunLadder(
       opts_.retry, [&](const Budget::Limits& lim, Status* why) -> Trilean {
-        obs::ScopedSpan rung_span(opts_.trace, "serve_rung", "serve");
-        rung_span.Counter("rung", rung_index);
-        rung_span.Counter("conflict_limit", lim.conflict_budget);
-        tmpl::TemplateOptions topts;
-        topts.batch.num_threads = opts_.num_threads;
-        topts.batch.model_bank_cap = opts_.model_bank_cap;
-        topts.batch.cache = &session->cache;
-        topts.batch.use_bank_store = opts_.bank_store_capacity > 0;
-        topts.batch.bank_store_capacity = opts_.bank_store_capacity;
-        topts.batch.deadline_ms = lim.deadline_ms;
-        topts.batch.conflict_budget = lim.conflict_budget;
-        topts.batch.oracle_call_budget = lim.oracle_call_budget;
-        topts.batch.trace = opts_.trace;
-        auto r = tmpl::AnswerTemplateText(&session->reasoner, kind,
-                                          template_text, mode, topts);
-        if (!r.ok()) {
-          *why = r.status();
-          rung_span.Attr("status", r.status().ToString());
-          ++rung_index;
-          return Trilean::kUnknown;
-        }
-        have_answer = true;
-        out.answer = *std::move(r);
-        if (rung_index == 0) {
-          first_rung_hits = out.answer.batch_stats.cache_hits;
-          first_rung_misses = out.answer.batch_stats.cache_misses;
-        }
-        bank_reuses += out.answer.batch_stats.bank_store_hits;
-        rung_span.Counter("bank_reuses", out.answer.batch_stats.bank_store_hits);
-        rung_span.Counter("yes", static_cast<int64_t>(out.answer.yes.size()));
-        rung_span.Counter("unknown",
-                          static_cast<int64_t>(out.answer.unknown.size()));
-        ++rung_index;
-        // A rung is definite when every substitution answered; residual
-        // kUnknown substitutions escalate (the cache carries the definite
-        // ones forward, so the next rung only re-evaluates the residue).
-        if (!out.answer.unknown.empty()) {
-          *why = Status::ResourceExhausted(
-              StrFormat("%lld substitutions out of budget",
-                        static_cast<long long>(out.answer.unknown.size())));
-          return Trilean::kUnknown;
-        }
-        return Trilean::kYes;
+        Rung rung(opts_.trace, rung_index++, lim, why, &tally);
+        bo.deadline_ms = lim.deadline_ms;
+        bo.conflict_budget = lim.conflict_budget;
+        bo.oracle_call_budget = lim.oracle_call_budget;
+        return rung_fn(*session, bo, &rung);
       });
 
-  out.rungs = lr.rungs;
-  if (!have_answer) {
-    // No rung produced an answer at all: the hard Status (parse error,
-    // candidate-cap ResourceExhausted, precondition) is the outcome.
+  out.ladder = lr;
+  out.cache_hit = tally.cache_hits > 0;
+  // A ground query fails when its ladder ends on a hard error; a template
+  // fails only when no rung answered at all (parse error, candidate cap).
+  const bool failed = is_template ? !tally.answered
+                                  : lr.answer == Trilean::kUnknown &&
+                                        !lr.exhausted.ok() &&
+                                        !lr.exhausted.IsBudgetExhaustion();
+  if (failed) {
     out.status = !lr.exhausted.ok()
                      ? lr.exhausted
                      : Status::Internal("template ladder produced no answer");
   }
   request_span.Counter("rungs", lr.rungs);
-  request_span.Attr("result",
-                    !out.status.ok()             ? "error"
-                    : out.answer.unknown.empty() ? "complete"
-                                                 : "degraded");
+  if (is_template) {
+    request_span.Attr("result", !out.status.ok()                ? "error"
+                                : lr.answer == Trilean::kUnknown ? "degraded"
+                                                                 : "complete");
+  } else {
+    request_span.Counter("cache_hit", out.cache_hit ? 1 : 0);
+    request_span.Attr("result", TrileanName(lr.answer));
+  }
 
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.rungs += lr.rungs;
   stats_.escalations += lr.rungs - 1;
-  stats_.cache_hits += first_rung_hits;
-  stats_.cache_misses += first_rung_misses;
-  stats_.bank_reuses += bank_reuses;
+  stats_.cache_hits += tally.cache_hits;
+  stats_.cache_misses += tally.cache_misses;
+  stats_.bank_reuses += tally.bank_reuses;
   if (!out.status.ok()) {
     ++stats_.errors;
-  } else if (!out.answer.unknown.empty()) {
+  } else if (lr.answer == Trilean::kUnknown) {
     ++stats_.unknowns;
   } else if (lr.escalated) {
     ++stats_.retry_successes;
   }
+  return out;
+}
+
+QueryServer::Answer QueryServer::Submit(SemanticsKind kind,
+                                        const batch::BatchQuery& query,
+                                        batch::BatchMode mode) {
+  Outcome o = Serve(
+      kind, mode, /*is_template=*/false, query.text,
+      [&query, kind, mode](Session& session, const batch::BatchOptions& bo,
+                           Rung* rung) -> Trilean {
+        auto r = mode == batch::BatchMode::kBrave
+                     ? session.reasoner.AnswerBatchCredulous(kind, {query}, bo)
+                     : session.reasoner.AnswerBatch(kind, {query}, bo);
+        if (!r.ok()) return rung->Fail(r.status());
+        // One hit per request, even when the query split into conjuncts.
+        rung->Answered(r->stats, r->stats.cache_hits > 0 ? 1 : 0);
+        rung->span().Attr("result", TrileanName(r->answers[0]));
+        return r->answers[0];
+      });
+  Answer a;
+  a.verdict = o.ladder.answer;
+  a.rungs = o.ladder.rungs;
+  a.cache_hit = o.cache_hit;
+  a.status = std::move(o.status);
+  return a;
+}
+
+QueryServer::TemplateResult QueryServer::SubmitTemplate(
+    SemanticsKind kind, std::string_view template_text,
+    batch::BatchMode mode) {
+  TemplateResult out;
+  Outcome o = Serve(
+      kind, mode, /*is_template=*/true, template_text,
+      [&out, kind, mode, template_text](Session& session,
+                                        const batch::BatchOptions& bo,
+                                        Rung* rung) -> Trilean {
+        tmpl::TemplateOptions topts;
+        topts.batch = bo;
+        auto r = tmpl::AnswerTemplateText(&session.reasoner, kind,
+                                          template_text, mode, topts);
+        if (!r.ok()) return rung->Fail(r.status());
+        out.answer = std::move(*r);
+        // Every instantiation's hit counts (ServeStats::cache_hits).
+        rung->Answered(out.answer.batch_stats,
+                       out.answer.batch_stats.cache_hits);
+        rung->span().Counter("yes",
+                             static_cast<int64_t>(out.answer.yes.size()));
+        rung->span().Counter("unknown",
+                             static_cast<int64_t>(out.answer.unknown.size()));
+        // A rung is definite when every substitution answered; residual
+        // kUnknown substitutions escalate (the cache carries the definite
+        // ones forward, so the next rung only re-evaluates the residue).
+        if (!out.answer.unknown.empty()) {
+          return rung->Escalate(Status::ResourceExhausted(
+              StrFormat("%lld substitutions out of budget",
+                        static_cast<long long>(out.answer.unknown.size()))));
+        }
+        return Trilean::kYes;
+      });
+  out.rungs = o.ladder.rungs;
+  out.status = std::move(o.status);
   return out;
 }
 
@@ -362,12 +368,12 @@ int QueryServer::ExitCode() const {
 
 std::string QueryServer::HandleLine(std::string_view line, bool* quit) {
   *quit = false;
-  if (line.size() > kMaxProtocolLine) return "ERR line too long";
+  if (line.size() > batch::kMaxQueryLine) return "ERR line too long";
   // CRLF clients are accepted; the protocol is LF-terminated.
   if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  std::istringstream in{std::string(line)};
-  std::string cmd;
-  if (!(in >> cmd) || cmd[0] == '#') return "";
+  std::string_view rest = line;
+  const std::string_view cmd = batch::NextToken(&rest);
+  if (cmd.empty() || cmd[0] == '#') return "";
 
   if (cmd == "QUIT") {
     *quit = true;
@@ -383,8 +389,8 @@ std::string QueryServer::HandleLine(std::string_view line, bool* quit) {
                      static_cast<long long>(session->cache.size()));
   }
   if (cmd == "RELOAD") {
-    std::string path;
-    if (!(in >> path)) return "ERR RELOAD needs a file path";
+    const std::string path(batch::NextToken(&rest));
+    if (path.empty()) return "ERR RELOAD needs a file path";
     std::ifstream f(path);
     if (!f) return "ERR cannot read " + path;
     std::ostringstream buf;
@@ -397,90 +403,62 @@ std::string QueryServer::HandleLine(std::string_view line, bool* quit) {
                      static_cast<unsigned long long>(fingerprint()),
                      DbSummary().c_str());
   }
+
+  // The query verbs map onto the .queries grammar (batch::ParseRequest):
+  //   QUERY <SEM> <lit|infer> <q>               -> lit|infer <SEM> <q>
+  //   BRAVE <SEM> <formula>                     -> brave <SEM> <formula>
+  //   ANSWERS <SEM> <skeptical|brave> <template> -> answers|banswers ...
+  std::string_view sem = batch::NextToken(&rest);
+  std::string_view verb;
   if (cmd == "QUERY") {
-    std::string sem_name;
-    std::string mode;
-    in >> sem_name >> mode;
-    auto kind = SemanticsKindFromName(sem_name);
-    const bool is_lit = mode == "lit";
-    if (!kind || (!is_lit && mode != "infer")) {
+    verb = batch::NextToken(&rest);
+    if (verb != "lit" && verb != "infer") {
       return "ERR usage: QUERY <semantics> <lit|infer> <query>";
     }
-    std::string rest;
-    std::getline(in, rest);
-    const std::string_view trimmed = Trim(rest);
-    if (trimmed.empty()) return "ERR empty query";
-    Answer a = Submit(*kind, batch::BatchQuery{std::string(trimmed), is_lit});
-    if (a.status.code() == StatusCode::kUnavailable) {
-      return "UNAVAILABLE " + a.status.message();
-    }
-    if (!a.status.ok()) return "ERR " + a.status.ToString();
-    return StrFormat("ANSWER %s rungs=%d cached=%d", TrileanName(a.verdict),
-                     a.rungs, a.cache_hit ? 1 : 0);
-  }
-  if (cmd == "ANSWERS") {
-    // First-order template answers (docs/TEMPLATES.md), one response line:
-    //   ANSWERS <SEM> <skeptical|brave> <template>
-    //     -> ANSWERS yes=N unknown=M candidates=K rungs=R [vacuous=1]
-    //        [X=n1,C=r X=n2,C=g ...]
-    // Yes-tuples print comma-joined and lexicographically sorted; residual
-    // kUnknown substitutions are counted (degrading the exit code), not
-    // listed.
-    std::string sem_name;
-    std::string mode_name;
-    in >> sem_name >> mode_name;
-    auto kind = SemanticsKindFromName(sem_name);
-    const bool is_brave = mode_name == "brave";
-    if (!kind || (!is_brave && mode_name != "skeptical")) {
+  } else if (cmd == "BRAVE") {
+    verb = "brave";
+  } else if (cmd == "ANSWERS") {
+    const std::string_view mode = batch::NextToken(&rest);
+    verb = mode == "skeptical" ? "answers" : mode == "brave" ? "banswers" : "";
+    if (verb.empty()) {
       return "ERR usage: ANSWERS <semantics> <skeptical|brave> <template>";
     }
-    std::string rest;
-    std::getline(in, rest);
-    const std::string_view trimmed = Trim(rest);
-    if (trimmed.empty()) return "ERR empty template";
-    TemplateResult r = SubmitTemplate(
-        *kind, trimmed,
-        is_brave ? batch::BatchMode::kBrave : batch::BatchMode::kSkeptical);
-    if (r.status.code() == StatusCode::kUnavailable) {
-      return "UNAVAILABLE " + r.status.message();
-    }
-    if (!r.status.ok()) return "ERR " + r.status.ToString();
-    std::string resp = StrFormat(
-        "ANSWERS yes=%lld unknown=%lld candidates=%lld rungs=%d",
-        static_cast<long long>(r.answer.yes.size()),
-        static_cast<long long>(r.answer.unknown.size()),
-        static_cast<long long>(r.answer.candidates), r.rungs);
-    if (r.answer.vacuous) resp += " vacuous=1";
-    for (const auto& binding : r.answer.yes) {
-      resp += " ";
-      for (size_t i = 0; i < binding.size(); ++i) {
-        if (i) resp += ",";
-        resp += r.answer.vars[i] + "=" + binding[i];
-      }
-    }
-    return resp;
+  } else {
+    return "ERR unknown command '" + std::string(cmd) + "'";
   }
-  if (cmd == "BRAVE") {
-    // Brave/credulous inference, same response shape as QUERY. Formulas
-    // only: a literal is its own formula, so no lit|infer discriminator.
-    std::string sem_name;
-    in >> sem_name;
-    auto kind = SemanticsKindFromName(sem_name);
-    if (!kind) return "ERR usage: BRAVE <semantics> <formula>";
-    std::string rest;
-    std::getline(in, rest);
-    const std::string_view trimmed = Trim(rest);
-    if (trimmed.empty()) return "ERR empty query";
-    Answer a = Submit(*kind, batch::BatchQuery{std::string(trimmed), false},
-                      batch::BatchMode::kBrave);
-    if (a.status.code() == StatusCode::kUnavailable) {
-      return "UNAVAILABLE " + a.status.message();
-    }
-    if (!a.status.ok()) return "ERR " + a.status.ToString();
+  Result<batch::Request> req = batch::ParseRequest(verb, sem, rest);
+  if (!req.ok()) return "ERR " + req.status().message();
+  const batch::BatchMode mode =
+      req->brave ? batch::BatchMode::kBrave : batch::BatchMode::kSkeptical;
+
+  if (!req->is_template) {
+    Answer a = Submit(req->kind, req->query, mode);
+    if (!a.status.ok()) return FailureResponse(a.status);
     return StrFormat("ANSWER %s rungs=%d cached=%d", TrileanName(a.verdict),
                      a.rungs, a.cache_hit ? 1 : 0);
   }
-  return "ERR unknown command '" + cmd + "'";
+  // One response line per template:
+  //   ANSWERS yes=N unknown=M candidates=K rungs=R [vacuous=1]
+  //     [X=n1,C=r X=n2,C=g ...]
+  // Yes-tuples print comma-joined and lexicographically sorted; residual
+  // kUnknown substitutions are counted (degrading the exit code), not
+  // listed.
+  TemplateResult r = SubmitTemplate(req->kind, req->query.text, mode);
+  if (!r.status.ok()) return FailureResponse(r.status);
+  std::string resp = StrFormat(
+      "ANSWERS yes=%lld unknown=%lld candidates=%lld rungs=%d",
+      static_cast<long long>(r.answer.yes.size()),
+      static_cast<long long>(r.answer.unknown.size()),
+      static_cast<long long>(r.answer.candidates), r.rungs);
+  if (r.answer.vacuous) resp += " vacuous=1";
+  for (const auto& binding : r.answer.yes) {
+    resp += " ";
+    for (size_t i = 0; i < binding.size(); ++i) {
+      if (i) resp += ",";
+      resp += r.answer.vars[i] + "=" + binding[i];
+    }
+  }
+  return resp;
 }
 
 }  // namespace serve

@@ -23,6 +23,8 @@
 // (tmpl/answer.h) through the same gate and ladder: each rung answers the
 // whole instantiation set as ONE batch against the session cache, so
 // escalated rungs re-evaluate only the previously-kUnknown substitutions.
+// Both are thin entry points over one private request loop (Serve); each
+// kind supplies only its rung's evaluation call and its cache-hit rule.
 //
 // Hot reload: Reload() builds a NEW session and atomically swaps it in.
 // In-flight requests keep a shared_ptr to the old session and finish
@@ -45,6 +47,7 @@
 #define DD_SERVE_SERVER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -181,10 +184,11 @@ class QueryServer {
   void Shutdown();
 
   /// Handles one line of the serve protocol (QUERY / BRAVE / ANSWERS /
-  /// RELOAD / SAVE / STATS / QUIT — docs/SERVING.md). Returns the response
-  /// line ("" for blank/comment input) and sets *quit on QUIT. Robust to
-  /// oversized lines, CRLF endings and arbitrary bytes: malformed input
-  /// yields an "ERR ..." response, never a crash.
+  /// RELOAD / SAVE / STATS / QUIT — docs/SERVING.md). The query verbs map
+  /// onto the .queries grammar and parse through batch::ParseRequest.
+  /// Returns the response line ("" for blank/comment input) and sets
+  /// *quit on QUIT. Robust to oversized lines, CRLF endings and arbitrary
+  /// bytes: malformed input yields an "ERR ..." response, never a crash.
   std::string HandleLine(std::string_view line, bool* quit);
 
   /// Exit-code audit for serve mode (docs/ROBUSTNESS.md §CLI): 0 when
@@ -214,6 +218,26 @@ class QueryServer {
 
   std::shared_ptr<Session> MakeSession(Database db);
   std::shared_ptr<Session> CurrentSession() const;
+
+  /// One ladder attempt as a request kind's rung callback sees it: the
+  /// rung span and the hooks that report the attempt (server.cc).
+  class Rung;
+  /// A request kind's rung: evaluates the request once under `bo` (the
+  /// rung's limits already applied) against the pinned, locked session.
+  using RungFn = std::function<Trilean(Session& session,
+                                       const batch::BatchOptions& bo,
+                                       Rung* rung)>;
+  struct Outcome {
+    LadderResult ladder;
+    Status status;  ///< kUnavailable when shed, a hard error, or OK
+    bool cache_hit = false;
+  };
+  /// The one request loop behind Submit and SubmitTemplate: gate entry,
+  /// request span, session pin and lock, the BatchOptions build, the
+  /// ladder with one span per rung, and the ServeStats tally. `text` is
+  /// the query or template, for the request span.
+  Outcome Serve(SemanticsKind kind, batch::BatchMode mode, bool is_template,
+                std::string_view text, const RungFn& rung_fn);
 
   ServeOptions opts_;
   RequestGate gate_;

@@ -6,10 +6,10 @@
 //      reproduces the legacy MinimalStats totals, on every one of the 11
 //      semantics (the spans are deltas of the same counters, so the sum is
 //      exact by construction — this test keeps it that way).
-//   2. Round-trip: for each legacy stats struct s,
-//      View(SnapshotOf(s)) == s field for field, which is what lets the
-//      old FormatStats renderers (and their test pins) run on top of
-//      registry snapshots.
+//   2. Publish coverage: for each legacy stats struct s, Publish(s) writes
+//      every field under its documented dd.* name and nothing else, so
+//      the registry exports (--metrics, BENCH_*.json rows) carry every
+//      legacy counter.
 //   3. Determinism: counter totals are invariant across --threads 1/4 —
 //      parallel chunk engines run untraced and fold into the same parent
 //      stats, so observability never depends on the worker count.
@@ -17,6 +17,7 @@
 // Plus schema checks for the two JSON exports (metrics snapshot, trace
 // span tree) and the strict DD_THREADS parse of ThreadPool::DefaultThreads.
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -176,40 +177,52 @@ TEST(Trace, JsonSchemaShape) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy-struct round trips through the registry snapshot
+// Publish coverage: every field of each legacy struct lands under its
+// documented dd.* name (docs/OBSERVABILITY.md), and nothing else does
 
-TEST(StatsView, MinimalRoundTrip) {
+using Counters = std::map<std::string, int64_t>;
+
+TEST(StatsPublish, MinimalWritesEveryField) {
   MinimalStats s;
   s.sat_calls = 11;
   s.minimizations = 7;
   s.cegar_iterations = 5;
   s.models_enumerated = 3;
-  MinimalStats v = obs::MinimalStatsView(obs::SnapshotOf(s));
-  EXPECT_EQ(v.sat_calls, s.sat_calls);
-  EXPECT_EQ(v.minimizations, s.minimizations);
-  EXPECT_EQ(v.cegar_iterations, s.cegar_iterations);
-  EXPECT_EQ(v.models_enumerated, s.models_enumerated);
+  s.hcf_checks = 2;
+  obs::MetricsRegistry reg;
+  obs::Publish(s, &reg);
+  EXPECT_EQ(reg.Snapshot().counters,
+            (Counters{{"dd.minimal.sat_calls", 11},
+                      {"dd.minimal.minimizations", 7},
+                      {"dd.minimal.cegar_iterations", 5},
+                      {"dd.minimal.models_enumerated", 3},
+                      {"dd.minimal.hcf_checks", 2}}));
 }
 
-TEST(StatsView, DispatchRoundTrip) {
+TEST(StatsPublish, DispatchWritesEveryField) {
   analysis::DispatchStats d;
   d.generic = 4;
   d.fixpoint_literal = 3;
   d.horn_least_model = 2;
   d.certain_fact = 1;
   d.const_answer = 6;
-  analysis::DispatchStats v =
-      obs::DispatchStatsView(obs::SnapshotOf(MinimalStats{}, &d));
-  EXPECT_EQ(v.generic, d.generic);
-  EXPECT_EQ(v.fixpoint_literal, d.fixpoint_literal);
-  EXPECT_EQ(v.horn_least_model, d.horn_least_model);
-  EXPECT_EQ(v.certain_fact, d.certain_fact);
-  EXPECT_EQ(v.const_answer, d.const_answer);
-  EXPECT_EQ(v.Downgrades(), d.Downgrades());
-  EXPECT_EQ(v.ToString(), d.ToString());  // renderer parity over the view
+  d.slice_literal = 7;
+  d.module_formula = 8;
+  d.hcf_unfounded = 9;
+  obs::MetricsRegistry reg;
+  obs::Publish(d, &reg);
+  EXPECT_EQ(reg.Snapshot().counters,
+            (Counters{{"dd.dispatch.generic", 4},
+                      {"dd.dispatch.fixpoint_literal", 3},
+                      {"dd.dispatch.horn_least_model", 2},
+                      {"dd.dispatch.certain_fact", 1},
+                      {"dd.dispatch.const_answer", 6},
+                      {"dd.dispatch.slice", 7},
+                      {"dd.dispatch.module", 8},
+                      {"dd.dispatch.hcf", 9}}));
 }
 
-TEST(StatsView, SessionRoundTrip) {
+TEST(StatsPublish, SessionWritesEveryField) {
   oracle::SessionStats s;
   s.base_loads = 1;
   s.solves = 2;
@@ -221,34 +234,35 @@ TEST(StatsView, SessionRoundTrip) {
   s.projections_replayed = 8;
   s.projections_discovered = 9;
   s.cache_evictions = 10;
-  oracle::SessionStats v =
-      obs::SessionStatsView(obs::SnapshotOf(MinimalStats{}, nullptr, &s));
-  EXPECT_EQ(v.base_loads, s.base_loads);
-  EXPECT_EQ(v.solves, s.solves);
-  EXPECT_EQ(v.contexts_opened, s.contexts_opened);
-  EXPECT_EQ(v.contexts_retired, s.contexts_retired);
-  EXPECT_EQ(v.guarded_clauses, s.guarded_clauses);
-  EXPECT_EQ(v.cache_hits, s.cache_hits);
-  EXPECT_EQ(v.cache_misses, s.cache_misses);
-  EXPECT_EQ(v.projections_replayed, s.projections_replayed);
-  EXPECT_EQ(v.projections_discovered, s.projections_discovered);
-  EXPECT_EQ(v.cache_evictions, s.cache_evictions);
+  obs::MetricsRegistry reg;
+  obs::Publish(s, &reg);
+  EXPECT_EQ(reg.Snapshot().counters,
+            (Counters{{"dd.session.base_loads", 1},
+                      {"dd.session.solves", 2},
+                      {"dd.session.contexts_opened", 3},
+                      {"dd.session.contexts_retired", 4},
+                      {"dd.session.guarded_clauses", 5},
+                      {"dd.session.cache_hits", 6},
+                      {"dd.session.cache_misses", 7},
+                      {"dd.session.projections_replayed", 8},
+                      {"dd.session.projections_discovered", 9},
+                      {"dd.oracle.cache_evictions", 10}}));
 }
 
-TEST(StatsView, QbfPublishAndView) {
+TEST(StatsPublish, QbfWritesEveryField) {
   QbfStats q;
   q.candidate_calls = 10;
   q.verification_calls = 9;
   q.refinements = 8;
   obs::MetricsRegistry reg;
   obs::Publish(q, &reg);
-  QbfStats v = obs::QbfStatsView(reg.Snapshot());
-  EXPECT_EQ(v.candidate_calls, q.candidate_calls);
-  EXPECT_EQ(v.verification_calls, q.verification_calls);
-  EXPECT_EQ(v.refinements, q.refinements);
+  EXPECT_EQ(reg.Snapshot().counters,
+            (Counters{{"dd.qbf.candidate_calls", 10},
+                      {"dd.qbf.verification_calls", 9},
+                      {"dd.qbf.refinements", 8}}));
 }
 
-TEST(StatsView, BudgetPublishRecordsConsumptionAndReason) {
+TEST(StatsPublish, BudgetRecordsConsumptionAndReason) {
   Budget::Limits lim;
   lim.oracle_call_budget = 1;
   auto b = Budget::Make(lim);
@@ -269,10 +283,8 @@ TEST(StatsView, BudgetPublishRecordsConsumptionAndReason) {
   EXPECT_EQ(exhausted, 1);
 }
 
-// The combined FormatStats overload is itself a round-trip consumer: it
-// renders through SnapshotOf + the views, so its output must contain all
-// three sections verbatim.
-TEST(StatsView, CombinedFormatStatsRendersAllSections) {
+// The combined FormatStats overload renders all three sections verbatim.
+TEST(FormatStatsTest, CombinedRendersAllSections) {
   MinimalStats s;
   s.sat_calls = 20;
   analysis::DispatchStats d;

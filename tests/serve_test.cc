@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "batch/answer_cache.h"
+#include "batch/queries_file.h"
 #include "core/reasoner.h"
 #include "gtest/gtest.h"
 #include "obs/trace.h"
@@ -21,6 +22,7 @@
 #include "serve/snapshot.h"
 #include "tests/test_util.h"
 #include "util/fingerprint.h"
+#include "util/string_util.h"
 
 namespace dd {
 namespace {
@@ -919,6 +921,136 @@ TEST(ServeProtocol, MalformedInputYieldsErrNeverCrash) {
   EXPECT_EQ(server.HandleLine(std::string(2 << 20, 'x'), &quit),
             "ERR line too long");
   EXPECT_FALSE(quit);
+}
+
+// ---------------------------------------------------------------------------
+// One verb grammar: the serve verbs map onto the .queries grammar
+
+/// A serve protocol line and its .queries twin.
+struct VerbTwin {
+  const char* serve;
+  const char* queries;
+};
+
+constexpr char kTwinProgram[] = "a | b. c :- a. p(a). p(b) | q(b).";
+
+TEST(ServeProtocol, VerbsAnswerLikeTheirQueriesTwins) {
+  const VerbTwin kTwins[] = {
+      {"QUERY gcwa lit not c", "lit gcwa not c"},
+      {"QUERY egcwa infer a | b", "infer egcwa a | b"},
+      {"BRAVE gcwa a & c", "brave gcwa a & c"},
+      {"ANSWERS gcwa skeptical p(X)", "answers gcwa p(X)"},
+      {"ANSWERS gcwa brave p(X)", "banswers gcwa p(X)"},
+  };
+  for (const VerbTwin& t : kTwins) {
+    SCOPED_TRACE(t.serve);
+    auto file = batch::ParseQueriesFile(t.queries);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    ASSERT_EQ(file->queries.size(), 1u);
+    const batch::ParsedQuery& q = file->queries[0];
+    const batch::BatchMode mode =
+        q.brave ? batch::BatchMode::kBrave : batch::BatchMode::kSkeptical;
+
+    // The .queries request, submitted directly, and the protocol line must
+    // answer alike and leave identical serve counters.
+    QueryServer direct(Db(kTwinProgram), ServeOptions{});
+    QueryServer proto(Db(kTwinProgram), ServeOptions{});
+    bool quit = false;
+    const std::string resp = proto.HandleLine(t.serve, &quit);
+    if (q.is_template) {
+      QueryServer::TemplateResult r =
+          direct.SubmitTemplate(q.kind, q.query.text, mode);
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      const std::string want = StrFormat(
+          "ANSWERS yes=%zu unknown=%zu candidates=%lld rungs=%d",
+          r.answer.yes.size(), r.answer.unknown.size(),
+          static_cast<long long>(r.answer.candidates), r.rungs);
+      EXPECT_EQ(resp.rfind(want, 0), 0u) << resp;
+    } else {
+      QueryServer::Answer a = direct.Submit(q.kind, q.query, mode);
+      ASSERT_TRUE(a.status.ok()) << a.status.ToString();
+      EXPECT_EQ(resp, StrFormat("ANSWER %s rungs=%d cached=0",
+                                TrileanName(a.verdict), a.rungs));
+    }
+    EXPECT_EQ(serve::ToJson(proto.stats()), serve::ToJson(direct.stats()));
+  }
+}
+
+TEST(ServeProtocol, MalformedVerbsFailOnBothSides) {
+  struct Malformed {
+    VerbTwin twin;
+    bool same_message;  ///< both sides fail inside batch::ParseRequest
+  };
+  const Malformed kBad[] = {
+      {{"QUERY nosuch lit a", "lit nosuch a"}, true},
+      {{"QUERY gcwa lit", "lit gcwa"}, true},
+      {{"QUERY gcwa infer  \t ", "infer gcwa  \t "}, true},
+      {{"BRAVE", "brave"}, true},
+      {{"BRAVE nosuch a", "brave nosuch a"}, true},
+      {{"BRAVE gcwa", "brave gcwa"}, true},
+      {{"ANSWERS nosuch skeptical p(X)", "answers nosuch p(X)"}, true},
+      {{"ANSWERS gcwa brave", "banswers gcwa"}, true},
+      {{"QUERY gcwa neither a", "neither gcwa a"}, false},
+      {{"ANSWERS gcwa sideways p(X)", "sideways gcwa p(X)"}, false},
+  };
+  QueryServer server(Db(kTwinProgram), ServeOptions{});
+  for (const Malformed& m : kBad) {
+    SCOPED_TRACE(m.twin.serve);
+    auto file = batch::ParseQueriesFile(std::string("lit gcwa a\n") +
+                                        m.twin.queries + "\n");
+    ASSERT_FALSE(file.ok());
+    EXPECT_EQ(file.status().code(), StatusCode::kInvalidArgument);
+    const std::string& why = file.status().message();
+    EXPECT_EQ(why.rfind("queries line 2: ", 0), 0u) << why;
+    bool quit = false;
+    const std::string resp = server.HandleLine(m.twin.serve, &quit);
+    EXPECT_EQ(resp.rfind("ERR ", 0), 0u) << resp;
+    if (m.same_message) {
+      EXPECT_EQ(resp.substr(4), why.substr(16));
+    }
+  }
+  // A request that never parsed is not a request.
+  EXPECT_EQ(server.stats().requests, 0);
+}
+
+TEST(ServeProtocol, MixedSessionStatsPin) {
+  // One session over every counting rule: a conjunct-split QUERY hit
+  // counts once, an ANSWERS request counts one hit per cached
+  // instantiation, BRAVE bumps brave_requests, and a template that fails
+  // to parse counts in errors.
+  QueryServer server(Db("p(a). p(b) | q(b). a | b."), ServeOptions{});
+  bool quit = false;
+  EXPECT_EQ(server.HandleLine("QUERY gcwa infer p(a) & ~q(a)", &quit),
+            "ANSWER yes rungs=1 cached=0");
+  EXPECT_EQ(server.stats().cache_misses, 2);  // one per conjunct
+  EXPECT_EQ(server.HandleLine("QUERY gcwa infer p(a) & ~q(a)", &quit),
+            "ANSWER yes rungs=1 cached=1");
+  EXPECT_EQ(server.stats().cache_hits, 1);  // both conjuncts hit: one hit
+  // p(a) is cached by the QUERY above, p(b) is not.
+  EXPECT_EQ(server.HandleLine("ANSWERS gcwa skeptical p(X)", &quit),
+            "ANSWERS yes=1 unknown=0 candidates=2 rungs=1 X=a");
+  EXPECT_EQ(server.stats().cache_hits, 2);
+  EXPECT_EQ(server.HandleLine("ANSWERS gcwa skeptical p(X)", &quit),
+            "ANSWERS yes=1 unknown=0 candidates=2 rungs=1 X=a");
+  EXPECT_EQ(server.stats().cache_hits, 4);  // one per instantiation
+  EXPECT_EQ(server.HandleLine("BRAVE gcwa a & b", &quit),
+            "ANSWER yes rungs=1 cached=0");
+  EXPECT_EQ(server.HandleLine("ANSWERS gcwa skeptical not p(X)", &quit)
+                .rfind("ERR ", 0),
+            0u);
+  EXPECT_EQ(
+      server.HandleLine("STATS", &quit),
+      "STATS {\"counters\": {\"dd.serve.admitted\": 6, "
+      "\"dd.serve.bank_reuses\": 0, \"dd.serve.brave_requests\": 1, "
+      "\"dd.serve.cache_hits\": 4, \"dd.serve.cache_load_failures\": 0, "
+      "\"dd.serve.cache_loads\": 0, \"dd.serve.cache_misses\": 4, "
+      "\"dd.serve.cache_save_failures\": 0, \"dd.serve.cache_saves\": 0, "
+      "\"dd.serve.cache_stale\": 0, \"dd.serve.errors\": 1, "
+      "\"dd.serve.escalations\": 0, \"dd.serve.queued\": 0, "
+      "\"dd.serve.reloads\": 0, \"dd.serve.requests\": 6, "
+      "\"dd.serve.retry_successes\": 0, \"dd.serve.rungs\": 6, "
+      "\"dd.serve.shed\": 0, \"dd.serve.template_requests\": 3, "
+      "\"dd.serve.unknowns\": 0}, \"histograms\": {}}");
 }
 
 }  // namespace
