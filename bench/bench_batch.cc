@@ -190,7 +190,7 @@ int Main(int argc, char** argv) {
       }
       // Audit (b): "Unknown is never cached".
       if (rb.answer_cache() != nullptr) {
-        rb.answer_cache()->ForEach([&](const std::string& key, Trilean t) {
+        rb.answer_cache()->ForEach([&](const std::string&, Trilean t) {
           Audit(t != Trilean::kUnknown, "kUnknown found in answer cache",
                 kind_name, n);
         });
@@ -300,7 +300,7 @@ int Main(int argc, char** argv) {
           }
         }
         if (rb.answer_cache() != nullptr) {
-          rb.answer_cache()->ForEach([&](const std::string& key, Trilean t) {
+          rb.answer_cache()->ForEach([&](const std::string&, Trilean t) {
             Audit(t != Trilean::kUnknown, "kUnknown found in answer cache",
                   kind_name, n);
           });
@@ -406,8 +406,8 @@ int Main(int argc, char** argv) {
           kReuseN);
     if (warm.bank_store() != nullptr) {
       warm.bank_store()->ForEach(
-          [&](const std::string&, const batch::ModelBank& bank) {
-            Audit(bank.complete, "incomplete bank found in store", kind_name,
+          [&](const std::string&, const auto& bank) {
+            Audit(bank->complete, "incomplete bank found in store", kind_name,
                   kReuseN);
           });
     }

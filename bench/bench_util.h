@@ -126,7 +126,8 @@ class BenchJsonWriter {
   void Add(BenchRecord r) { records_.push_back(std::move(r)); }
   void Add(const std::string& name, int n, double wall_ms,
            int64_t oracle_calls, int64_t cache_hits, bool timeout = false) {
-    records_.push_back({name, n, wall_ms, oracle_calls, cache_hits, timeout});
+    records_.push_back(
+        {name, n, wall_ms, oracle_calls, cache_hits, timeout, {}, {}});
   }
 
   /// Writes BENCH_<bench>.json; idempotent. Returns false on I/O failure.

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full pre-merge check matrix:
 #
-#   1. Release build with -Werror, ctest
+#   1. Release build with -Werror (bench/ included, so benchmark code
+#      cannot carry warnings either), ctest
 #   2. AddressSanitizer build, ctest
 #   3. UndefinedBehaviorSanitizer build, ctest
 #   4. ThreadSanitizer build, running the concurrency surface only
@@ -82,7 +83,7 @@ run_leg() { # name build_dir cmake_args...   (CTEST_FILTER: optional -R regex)
 }
 
 run_leg "release (-Werror)" build-check-release \
-        -DCMAKE_BUILD_TYPE=Release -DDD_WERROR=ON -DDD_BUILD_BENCHMARKS=OFF
+        -DCMAKE_BUILD_TYPE=Release -DDD_WERROR=ON -DDD_BUILD_BENCHMARKS=ON
 
 if [ "$FAST" -eq 0 ]; then
   run_leg "asan" build-check-asan \

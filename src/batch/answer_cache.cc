@@ -25,57 +25,17 @@ bool AnswerCache::IsBraveKey(const std::string& key) {
   return key.find('~', first + 1) < second;
 }
 
-void AnswerCache::SetEpoch(uint64_t fingerprint) {
-  if (epoch_set_ && epoch_ == fingerprint) return;
-  if (epoch_set_ && !entries_.empty()) ++stats_.invalidations;
-  lru_.clear();
-  entries_.clear();
-  epoch_ = fingerprint;
-  epoch_set_ = true;
-}
-
 std::optional<Trilean> AnswerCache::Lookup(const std::string& key) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->second;
+  const Trilean* hit = Find(key, [](Trilean) { return true; });
+  if (hit == nullptr) return std::nullopt;
+  return *hit;
 }
 
-void AnswerCache::Insert(const std::string& key, Trilean answer) {
-  if (answer == Trilean::kUnknown) {
-    // "Unknown is never cached": exhaustion is a property of the budget,
-    // not of the query.
-    ++stats_.unknown_rejected;
-    return;
-  }
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    it->second->second = answer;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.emplace_front(key, answer);
-  entries_.emplace(key, lru_.begin());
-  ++stats_.insertions;
-  while (capacity_ > 0 && static_cast<int64_t>(entries_.size()) > capacity_) {
-    entries_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
-}
-
-void AnswerCache::Clear() {
-  lru_.clear();
-  entries_.clear();
-}
-
-void AnswerCache::ForEach(
-    const std::function<void(const std::string&, Trilean)>& fn) const {
-  for (const auto& [key, answer] : lru_) fn(key, answer);
+AnswerCache::Inserted AnswerCache::Insert(const std::string& key,
+                                          Trilean answer) {
+  // "Unknown is never cached": exhaustion is a property of the budget,
+  // not of the query.
+  return Put(key, answer, answer != Trilean::kUnknown);
 }
 
 }  // namespace batch

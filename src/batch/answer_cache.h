@@ -9,11 +9,11 @@
 // the same program — in any clause order — share entries, and any clause
 // change flips the fingerprint. SetEpoch enforces invalidation: the cache
 // remembers the fingerprint it was last used with and drops everything
-// when a different one shows up.
+// when a different one shows up (batch/epoch_lru.h).
 //
 // "Unknown is never cached": Insert refuses Trilean::kUnknown (counted in
-// stats().unknown_rejected). A kUnknown answer means the budget ran out —
-// it says nothing about the query, and caching it would freeze a transient
+// stats().rejected). A kUnknown answer means the budget ran out — it says
+// nothing about the query, and caching it would freeze a transient
 // resource condition into a persistent wrong "answer". Definite answers
 // computed under a budget are safe to cache: the anytime contract
 // guarantees they equal the unbudgeted answer (docs/ROBUSTNESS.md).
@@ -24,32 +24,20 @@
 #define DD_BATCH_ANSWER_CACHE_H_
 
 #include <cstdint>
-#include <functional>
-#include <list>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <utility>
 
+#include "batch/epoch_lru.h"
 #include "semantics/semantics.h"
 #include "util/budget.h"
 
 namespace dd {
 namespace batch {
 
-class AnswerCache {
+class AnswerCache : public EpochLru<Trilean> {
  public:
-  struct Stats {
-    int64_t hits = 0;
-    int64_t misses = 0;
-    int64_t insertions = 0;
-    int64_t evictions = 0;        ///< LRU entries dropped at capacity
-    int64_t invalidations = 0;    ///< full clears on fingerprint change
-    int64_t unknown_rejected = 0; ///< Insert(kUnknown) attempts refused
-  };
-
   /// `capacity` <= 0 means unbounded (tests only; servers should bound).
-  explicit AnswerCache(int64_t capacity = 4096) : capacity_(capacity) {}
+  explicit AnswerCache(int64_t capacity = 4096) : EpochLru(capacity) {}
 
   /// The canonical composite key. `brave` tags credulous-mode entries in
   /// the kind segment ("KIND~brave"), so brave and skeptical answers for
@@ -65,42 +53,11 @@ class AnswerCache {
   /// (docs/SERVING.md).
   static bool IsBraveKey(const std::string& key);
 
-  /// Pins the cache to a database fingerprint; entries computed against a
-  /// different fingerprint are dropped wholesale (invalidation contract).
-  void SetEpoch(uint64_t fingerprint);
-
   /// Definite cached answer for `key`, if present (refreshes LRU order).
   std::optional<Trilean> Lookup(const std::string& key);
 
   /// Caches a definite answer; kUnknown is refused, never stored.
-  void Insert(const std::string& key, Trilean answer);
-
-  void Clear();
-
-  int64_t size() const { return static_cast<int64_t>(entries_.size()); }
-  int64_t capacity() const { return capacity_; }
-  const Stats& stats() const { return stats_; }
-
-  /// The fingerprint the cache is currently pinned to (via SetEpoch).
-  /// Snapshot persistence (src/serve/snapshot.h) stamps this into the
-  /// saved file so stale snapshots self-invalidate on load.
-  bool epoch_set() const { return epoch_set_; }
-  uint64_t epoch() const { return epoch_; }
-
-  /// Debug/audit iteration over live entries (the bench harness uses this
-  /// to assert no kUnknown was ever stored). Order unspecified.
-  void ForEach(
-      const std::function<void(const std::string&, Trilean)>& fn) const;
-
- private:
-  using LruList = std::list<std::pair<std::string, Trilean>>;
-
-  int64_t capacity_;
-  bool epoch_set_ = false;
-  uint64_t epoch_ = 0;
-  LruList lru_;  ///< front = most recently used
-  std::unordered_map<std::string, LruList::iterator> entries_;
-  Stats stats_;
+  Inserted Insert(const std::string& key, Trilean answer);
 };
 
 }  // namespace batch

@@ -1,5 +1,7 @@
 #include "batch/model_bank_store.h"
 
+#include <utility>
+
 #include "util/string_util.h"
 
 namespace dd {
@@ -12,68 +14,25 @@ std::string ModelBankStore::MakeKey(uint64_t module_fingerprint,
                    SemanticsKindName(kind), static_cast<long long>(cap));
 }
 
-void ModelBankStore::SetEpoch(uint64_t fingerprint) {
-  if (epoch_set_ && epoch_ == fingerprint) return;
-  if (epoch_set_ && !entries_.empty()) ++stats_.invalidations;
-  lru_.clear();
-  entries_.clear();
-  epoch_ = fingerprint;
-  epoch_set_ = true;
-}
-
 std::shared_ptr<const ModelBank> ModelBankStore::Lookup(const std::string& key,
                                                         int min_num_vars) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  const std::shared_ptr<const ModelBank>& bank = it->second->second;
-  if (bank->num_vars < min_num_vars) {
-    // Built before the vocabulary grew: it cannot evaluate a formula
-    // mentioning a newer atom. The entry stays — it remains valid for
-    // queries over the atoms it does cover.
-    ++stats_.misses;
-    return nullptr;
-  }
-  ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return bank;
+  // A bank built before the vocabulary grew cannot evaluate a formula
+  // mentioning a newer atom. The entry stays — it remains valid for
+  // queries over the atoms it does cover.
+  const std::shared_ptr<const ModelBank>* hit =
+      Find(key, [&](const std::shared_ptr<const ModelBank>& bank) {
+        return bank->num_vars >= min_num_vars;
+      });
+  return hit != nullptr ? *hit : nullptr;
 }
 
-void ModelBankStore::Insert(const std::string& key,
-                            std::shared_ptr<const ModelBank> bank) {
-  if (bank == nullptr || bank->models == nullptr || !bank->complete) {
-    // A truncated bank may be missing models; trusting it could flip
-    // answers, so it is never stored under any circumstances.
-    ++stats_.truncated_rejected;
-    return;
-  }
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    it->second->second = std::move(bank);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.emplace_front(key, std::move(bank));
-  entries_.emplace(key, lru_.begin());
-  ++stats_.insertions;
-  while (capacity_ > 0 && static_cast<int64_t>(entries_.size()) > capacity_) {
-    entries_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
-}
-
-void ModelBankStore::Clear() {
-  lru_.clear();
-  entries_.clear();
-}
-
-void ModelBankStore::ForEach(
-    const std::function<void(const std::string&, const ModelBank&)>& fn)
-    const {
-  for (const auto& [key, bank] : lru_) fn(key, *bank);
+ModelBankStore::Inserted ModelBankStore::Insert(
+    const std::string& key, std::shared_ptr<const ModelBank> bank) {
+  // A truncated bank may be missing models; trusting it could flip
+  // answers, so it is never stored under any circumstances.
+  const bool complete =
+      bank != nullptr && bank->models != nullptr && bank->complete;
+  return Put(key, std::move(bank), complete);
 }
 
 }  // namespace batch

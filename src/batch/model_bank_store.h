@@ -21,17 +21,18 @@
 // Safety contract:
 //   * Only COMPLETE banks are ever stored. A bank truncated by a model
 //     cap or budget exhaustion answers nothing; Insert refuses banks not
-//     marked complete (stats().truncated_rejected), and the batch layer
+//     marked complete (stats().rejected), and the batch layer
 //     only marks a bank complete when the enumeration provably returned
 //     the whole set (it asks for cap+1 models and got at most cap).
-//   * SetEpoch pins the store to the database fingerprint, exactly like
-//     batch::AnswerCache: any fingerprint change drops every bank
+//   * SetEpoch pins the store to the database fingerprint through the
+//     same LRU as batch::AnswerCache (batch/epoch_lru.h): any
+//     fingerprint change drops every bank
 //     wholesale before a single lookup. Module fingerprints of a mutated
 //     database can never serve stale models.
 //   * A lookup demands a minimum interpretation width: a bank built
 //     before the vocabulary grew cannot evaluate a query mentioning a
-//     newer atom, so such lookups miss (the bank stays usable for
-//     queries over the old atoms).
+//     newer atom, so such lookups miss (the bank stays stored, in its old
+//     LRU slot, for queries over the old atoms).
 //   * Custom CCWA/ECWA partitions change the intended-model set without
 //     changing the database fingerprint; the batch layer disables the
 //     store entirely for partitioned reasoners.
@@ -50,14 +51,11 @@
 #define DD_BATCH_MODEL_BANK_STORE_H_
 
 #include <cstdint>
-#include <functional>
-#include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
+#include "batch/epoch_lru.h"
 #include "logic/interpretation.h"
 #include "semantics/semantics.h"
 
@@ -79,31 +77,18 @@ struct ModelBank {
   bool complete = false;
 };
 
-class ModelBankStore {
+class ModelBankStore : public EpochLru<std::shared_ptr<const ModelBank>> {
  public:
-  struct Stats {
-    int64_t hits = 0;
-    int64_t misses = 0;  ///< absent keys + width-mismatch rejections
-    int64_t insertions = 0;
-    int64_t evictions = 0;          ///< LRU banks dropped at capacity
-    int64_t invalidations = 0;      ///< full clears on fingerprint change
-    int64_t truncated_rejected = 0; ///< Insert of an incomplete bank refused
-  };
-
   /// `capacity` <= 0 means unbounded (tests only; servers should bound).
   /// Banks are heavyweight (whole model sets), so the default is far
   /// smaller than AnswerCache's.
-  explicit ModelBankStore(int64_t capacity = 32) : capacity_(capacity) {}
+  explicit ModelBankStore(int64_t capacity = 32) : EpochLru(capacity) {}
 
   /// The canonical composite key. `cap` is the effective bank cap the
   /// enumeration ran under (EffectiveBankCap): two batches share a bank
   /// only when they would have built the same one.
   static std::string MakeKey(uint64_t module_fingerprint, SemanticsKind kind,
                              int64_t cap);
-
-  /// Pins the store to a database fingerprint; banks built against a
-  /// different fingerprint are dropped wholesale (invalidation contract).
-  void SetEpoch(uint64_t fingerprint);
 
   /// The stored bank for `key`, if present AND wide enough to evaluate
   /// formulas over vars [0, min_num_vars). Refreshes LRU order on hit;
@@ -114,32 +99,8 @@ class ModelBankStore {
   /// Stores a complete bank; banks not marked complete are refused and
   /// counted (truncated banks must never be stored). Re-inserting an
   /// existing key refreshes its LRU slot.
-  void Insert(const std::string& key, std::shared_ptr<const ModelBank> bank);
-
-  void Clear();
-
-  int64_t size() const { return static_cast<int64_t>(entries_.size()); }
-  int64_t capacity() const { return capacity_; }
-  const Stats& stats() const { return stats_; }
-
-  bool epoch_set() const { return epoch_set_; }
-  uint64_t epoch() const { return epoch_; }
-
-  /// Debug/audit iteration over live banks (tests assert every stored
-  /// bank is complete). Order unspecified.
-  void ForEach(const std::function<void(const std::string&,
-                                        const ModelBank&)>& fn) const;
-
- private:
-  using LruList =
-      std::list<std::pair<std::string, std::shared_ptr<const ModelBank>>>;
-
-  int64_t capacity_;
-  bool epoch_set_ = false;
-  uint64_t epoch_ = 0;
-  LruList lru_;  ///< front = most recently used
-  std::unordered_map<std::string, LruList::iterator> entries_;
-  Stats stats_;
+  Inserted Insert(const std::string& key,
+                  std::shared_ptr<const ModelBank> bank);
 };
 
 }  // namespace batch

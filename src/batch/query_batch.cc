@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "logic/formula_transform.h"
-#include "semantics/ccwa.h"
-#include "semantics/ecwa_circ.h"
 
 namespace dd {
 namespace batch {
@@ -214,16 +212,8 @@ GroupResult EvaluateGroup(const GroupRequest& req) {
     return out;
   }
 
-  std::unique_ptr<Semantics> engine;
-  if (req.partition != nullptr && req.kind == SemanticsKind::kCcwa) {
-    engine = std::make_unique<CcwaSemantics>(*req.db, *req.partition,
-                                             req.opts);
-  } else if (req.partition != nullptr && req.kind == SemanticsKind::kEcwa) {
-    engine = std::make_unique<EcwaSemantics>(*req.db, *req.partition,
-                                             req.opts);
-  } else {
-    engine = MakeSemantics(req.kind, *req.db, req.opts);
-  }
+  std::unique_ptr<Semantics> engine =
+      MakeSemantics(req.kind, *req.db, req.opts, req.partition);
   if (req.budget != nullptr) engine->SetBudget(req.budget);
 
   // Shared model bank: enumerate the group's intended models once and
@@ -261,52 +251,35 @@ GroupResult EvaluateGroup(const GroupRequest& req) {
   if (!bank_done) {
     for (size_t i = 0; i < req.queries.size(); ++i) {
       const CanonicalQuery* q = req.queries[i];
-      if (brave) {
-        // The engine's own credulous check, witness included: a model
-        // violating ¬f is exactly a model satisfying f. Routing through
-        // FindCounterexample keeps fallback answers equal to the
+      Status failed;
+      if (brave || req.collect_witnesses) {
+        // Brave: the engine's own credulous check — a model violating ¬f is
+        // exactly a model satisfying f — so fallback answers equal the
         // sequential InfersCredulously entry point by construction
-        // (including PDSM's 3-valued reading).
-        Result<std::optional<Interpretation>> r =
-            engine->FindCounterexample(FormulaNode::MakeNot(q->f));
+        // (including PDSM's 3-valued reading). Skeptical with witnesses: a
+        // counterexample to f, nullopt ⇔ inferred.
+        Result<std::optional<Interpretation>> r = engine->FindCounterexample(
+            brave ? FormulaNode::MakeNot(q->f) : q->f);
         if (r.ok()) {
-          out.answers[i] = TrileanFromBool(r->has_value());
+          out.answers[i] = TrileanFromBool(r->has_value() == brave);
           if (req.collect_witnesses && r->has_value()) {
             out.witnesses[i] = std::move(**r);
           }
-        } else if (r.status().IsBudgetExhaustion()) {
-          out.answers[i] = Trilean::kUnknown;
-        } else {
-          if (out.error.ok()) out.error = r.status();
-          out.answers[i] = Trilean::kUnknown;
+          continue;
         }
-        continue;
-      }
-      if (req.collect_witnesses) {
-        // Witness-bearing skeptical path: nullopt ⇔ inferred.
-        Result<std::optional<Interpretation>> r =
-            engine->FindCounterexample(q->f);
-        if (r.ok()) {
-          out.answers[i] = TrileanFromBool(!r->has_value());
-          if (r->has_value()) out.witnesses[i] = std::move(**r);
-        } else if (r.status().IsBudgetExhaustion()) {
-          out.answers[i] = Trilean::kUnknown;
-        } else {
-          if (out.error.ok()) out.error = r.status();
-          out.answers[i] = Trilean::kUnknown;
-        }
-        continue;
-      }
-      Result<bool> r = q->lit.has_value() ? engine->InfersLiteral(*q->lit)
-                                          : engine->InfersFormula(q->f);
-      if (r.ok()) {
-        out.answers[i] = TrileanFromBool(*r);
-      } else if (r.status().IsBudgetExhaustion()) {
-        out.answers[i] = Trilean::kUnknown;
+        failed = r.status();
       } else {
-        if (out.error.ok()) out.error = r.status();
-        out.answers[i] = Trilean::kUnknown;
+        Result<bool> r = q->lit.has_value() ? engine->InfersLiteral(*q->lit)
+                                            : engine->InfersFormula(q->f);
+        if (r.ok()) {
+          out.answers[i] = TrileanFromBool(*r);
+          continue;
+        }
+        failed = r.status();
       }
+      // The answer stays kUnknown: budget exhaustion is sound, and the
+      // first hard error fails the batch.
+      if (!failed.IsBudgetExhaustion() && out.error.ok()) out.error = failed;
     }
   }
 

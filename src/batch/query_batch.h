@@ -112,10 +112,9 @@ struct BatchOptions {
   int64_t model_bank_cap = 4096;
 
   /// Use the reasoner-owned answer cache (created on first use with
-  /// `cache_capacity` entries). `cache` overrides with an external
+  /// AnswerCache's default capacity). `cache` overrides with an external
   /// instance, e.g. one shared across reasoners by a server.
   bool use_answer_cache = true;
-  int64_t cache_capacity = 4096;
   AnswerCache* cache = nullptr;  ///< not owned; may be null
 
   /// Use the reasoner-owned model-bank store (created on first use with
@@ -158,12 +157,13 @@ struct BatchStats {
   int64_t bank_models = 0;      ///< models enumerated into banks (built
                                 ///< this batch; store hits add nothing)
   int64_t unknowns = 0;         ///< kUnknown answers returned (exhaustion)
+  /// This batch's own answer-cache (dd.cache.*) and model-bank store
+  /// (dd.bank.*) calls, counted as it makes them.
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
   int64_t cache_insertions = 0;
   int64_t cache_evictions = 0;
   int64_t cache_invalidations = 0;
-  /// Model-bank store deltas (dd.bank.*): cross-batch bank reuse.
   int64_t bank_store_hits = 0;
   int64_t bank_store_misses = 0;
   int64_t bank_store_insertions = 0;

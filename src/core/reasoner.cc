@@ -4,8 +4,6 @@
 
 #include "batch/batch_planner.h"
 #include "obs/stats_view.h"
-#include "semantics/ccwa.h"
-#include "semantics/ecwa_circ.h"
 #include "util/fingerprint.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -109,14 +107,8 @@ Result<Reasoner> Reasoner::FromProgram(std::string_view text,
 Semantics* Reasoner::Get(SemanticsKind kind) {
   auto it = engines_.find(kind);
   if (it == engines_.end()) {
-    std::unique_ptr<Semantics> engine;
-    if (partition_.has_value() && kind == SemanticsKind::kCcwa) {
-      engine = std::make_unique<CcwaSemantics>(db_, *partition_, opts_);
-    } else if (partition_.has_value() && kind == SemanticsKind::kEcwa) {
-      engine = std::make_unique<EcwaSemantics>(db_, *partition_, opts_);
-    } else {
-      engine = MakeSemantics(kind, db_, opts_);
-    }
+    std::unique_ptr<Semantics> engine = MakeSemantics(
+        kind, db_, opts_, partition_.has_value() ? &*partition_ : nullptr);
     engine->SetTrace(trace_);
     it = engines_.emplace(kind, std::move(engine)).first;
   }
@@ -428,14 +420,15 @@ Result<std::vector<Interpretation>> Reasoner::Models(SemanticsKind kind,
 
 namespace {
 
-/// Builds the per-query shared budget (null when `q` has no limits).
-std::shared_ptr<Budget> MakeQueryBudget(const QueryOptions& q) {
-  if (q.unlimited()) return nullptr;
-  Budget::Limits lim;
-  lim.deadline_ms = q.deadline_ms;
-  lim.conflict_budget = q.conflict_budget;
-  lim.oracle_call_budget = q.oracle_call_budget;
-  return Budget::Make(lim, q.cancel);
+/// Builds the shared budget of one query or one batch: null when no axis
+/// is limited and nothing can cancel it.
+std::shared_ptr<Budget> MakeBudget(const Budget::Limits& lim,
+                                   std::shared_ptr<CancelToken> cancel) {
+  if (lim.deadline_ms < 0 && lim.conflict_budget < 0 &&
+      lim.oracle_call_budget < 0 && cancel == nullptr) {
+    return nullptr;
+  }
+  return Budget::Make(lim, std::move(cancel));
 }
 
 /// RAII installer for a per-query trace (QueryOptions::trace): installed
@@ -493,7 +486,10 @@ class EngineScope {
   EngineScope(Semantics* s, const QueryOptions& q,
               obs::TraceContext* fallback, QuerySpan* span)
       : traced_(s, q.trace, fallback),
-        budget_(s, span->AttachBudget(MakeQueryBudget(q))) {}
+        budget_(s, span->AttachBudget(MakeBudget(
+                           {q.deadline_ms, q.conflict_budget,
+                            q.oracle_call_budget},
+                           q.cancel))) {}
 
  private:
   ScopedTrace traced_;
@@ -724,8 +720,7 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
   batch::AnswerCache* cache = bopts.cache;
   if (cache == nullptr && bopts.use_answer_cache) {
     if (answer_cache_ == nullptr) {
-      answer_cache_ = std::make_unique<batch::AnswerCache>(
-          bopts.cache_capacity);
+      answer_cache_ = std::make_unique<batch::AnswerCache>();
     }
     cache = answer_cache_.get();
   }
@@ -746,18 +741,12 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
     store = nullptr;
   }
 
+  // The batch counts its own cache and store traffic call by call, so its
+  // counters stay its own when the structures are shared with others.
   uint64_t fp = 0;
-  batch::AnswerCache::Stats cache_before;
-  batch::ModelBankStore::Stats store_before;
   if (cache != nullptr || store != nullptr) fp = fingerprint();
-  if (cache != nullptr) {
-    cache_before = cache->stats();  // before SetEpoch: invalidations count
-    cache->SetEpoch(fp);
-  }
-  if (store != nullptr) {
-    store_before = store->stats();
-    store->SetEpoch(fp);
-  }
+  if (cache != nullptr) bs.cache_invalidations += cache->SetEpoch(fp);
+  if (store != nullptr) bs.bank_store_invalidations += store->SetEpoch(fp);
 
   std::vector<Trilean> uniq_answers(uniq.size(), Trilean::kUnknown);
   std::vector<std::optional<Interpretation>> uniq_witnesses(
@@ -785,10 +774,12 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
       // certifying model. (Definite answers still get inserted below.)
       if (!bopts.collect_witnesses) {
         if (std::optional<Trilean> hit = cache->Lookup(cache_keys[u])) {
+          ++bs.cache_hits;
           uniq_answers[u] = *hit;
           answered[u] = 1;
           continue;
         }
+        ++bs.cache_misses;
       }
     }
     pending.push_back(static_cast<int>(u));
@@ -801,16 +792,11 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
       partition_.has_value(), uniq, pending);
   bs.groups = static_cast<int64_t>(plan.size());
 
-  std::shared_ptr<Budget> budget;
-  if (bopts.deadline_ms >= 0 || bopts.conflict_budget >= 0 ||
-      bopts.oracle_call_budget >= 0 || bopts.cancel != nullptr) {
-    Budget::Limits lim;
-    lim.deadline_ms = bopts.deadline_ms;
-    lim.conflict_budget = bopts.conflict_budget;
-    lim.oracle_call_budget = bopts.oracle_call_budget;
-    budget = Budget::Make(lim, bopts.cancel);
-    span.AttachBudget(budget);
-  }
+  std::shared_ptr<Budget> budget =
+      MakeBudget({bopts.deadline_ms, bopts.conflict_budget,
+                  bopts.oracle_call_budget},
+                 bopts.cancel);
+  if (budget != nullptr) span.AttachBudget(budget);
 
   std::vector<Database> group_dbs;
   group_dbs.reserve(plan.size());
@@ -862,6 +848,7 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
       }
       req.bank = store->Lookup(store_keys[g], min_vars);
       req.export_bank = req.bank == nullptr;
+      ++(req.bank != nullptr ? bs.bank_store_hits : bs.bank_store_misses);
     }
   }
 
@@ -894,7 +881,10 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
     // batches; EvaluateGroup never exports truncated banks, and Insert
     // itself refuses them (defense in depth, counted).
     if (store != nullptr && res.built_bank != nullptr) {
-      store->Insert(store_keys[g], res.built_bank);
+      const auto ins = store->Insert(store_keys[g], res.built_bank);
+      bs.bank_store_insertions += ins.added;
+      bs.bank_store_evictions += ins.evictions;
+      bs.bank_store_truncated_rejected += ins.rejected;
     }
     for (size_t k = 0; k < plan[g].query_indices.size(); ++k) {
       const int u = plan[g].query_indices[k];
@@ -912,7 +902,11 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
   // Cache only answers computed this batch (hits are already stored);
   // Insert itself refuses kUnknown.
   if (cache != nullptr) {
-    for (int u : pending) cache->Insert(cache_keys[u], uniq_answers[u]);
+    for (int u : pending) {
+      const auto ins = cache->Insert(cache_keys[u], uniq_answers[u]);
+      bs.cache_insertions += ins.added;
+      bs.cache_evictions += ins.evictions;
+    }
   }
 
   // Compose per-input answers by the mode's Kleene connective: AND over
@@ -937,26 +931,6 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
     }
     if (acc == Trilean::kUnknown) ++bs.unknowns;
     out.answers.push_back(acc);
-  }
-
-  if (cache != nullptr) {
-    const batch::AnswerCache::Stats& ca = cache->stats();
-    bs.cache_hits = ca.hits - cache_before.hits;
-    bs.cache_misses = ca.misses - cache_before.misses;
-    bs.cache_insertions = ca.insertions - cache_before.insertions;
-    bs.cache_evictions = ca.evictions - cache_before.evictions;
-    bs.cache_invalidations = ca.invalidations - cache_before.invalidations;
-  }
-  if (store != nullptr) {
-    const batch::ModelBankStore::Stats& sa = store->stats();
-    bs.bank_store_hits = sa.hits - store_before.hits;
-    bs.bank_store_misses = sa.misses - store_before.misses;
-    bs.bank_store_insertions = sa.insertions - store_before.insertions;
-    bs.bank_store_evictions = sa.evictions - store_before.evictions;
-    bs.bank_store_invalidations =
-        sa.invalidations - store_before.invalidations;
-    bs.bank_store_truncated_rejected =
-        sa.truncated_rejected - store_before.truncated_rejected;
   }
 
   span.AddCounter("batch_queries", bs.queries);

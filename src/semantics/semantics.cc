@@ -96,7 +96,8 @@ Result<std::optional<Interpretation>> Semantics::FindCounterexample(
 
 std::unique_ptr<Semantics> MakeSemantics(SemanticsKind kind,
                                          const Database& db,
-                                         const SemanticsOptions& opts) {
+                                         const SemanticsOptions& opts,
+                                         const Partition* partition) {
   switch (kind) {
     case SemanticsKind::kCwa:
       return std::make_unique<CwaSemantics>(db, opts);
@@ -106,10 +107,12 @@ std::unique_ptr<Semantics> MakeSemantics(SemanticsKind kind,
       return std::make_unique<EgcwaSemantics>(db, opts);
     case SemanticsKind::kCcwa:
       return std::make_unique<CcwaSemantics>(
-          db, Partition::MinimizeAll(db.num_vars()), opts);
+          db, partition ? *partition : Partition::MinimizeAll(db.num_vars()),
+          opts);
     case SemanticsKind::kEcwa:
       return std::make_unique<EcwaSemantics>(
-          db, Partition::MinimizeAll(db.num_vars()), opts);
+          db, partition ? *partition : Partition::MinimizeAll(db.num_vars()),
+          opts);
     case SemanticsKind::kDdr:
       return std::make_unique<DdrSemantics>(db, opts);
     case SemanticsKind::kPws:

@@ -210,13 +210,13 @@ class Semantics {
   std::vector<Interpretation> partial_models_;
 };
 
-/// Factory covering the semantics that need no extra parameters
-/// (CCWA/ECWA require a partition and have their own constructors; the
-/// factory instantiates them with the all-minimized partition, under which
-/// CCWA degenerates to GCWA and ECWA to EGCWA).
+/// The one engine factory. CCWA and ECWA take `partition` when it is
+/// non-null, else the all-minimized partition, under which CCWA
+/// degenerates to GCWA and ECWA to EGCWA; the other kinds ignore it.
 std::unique_ptr<Semantics> MakeSemantics(SemanticsKind kind,
                                          const Database& db,
-                                         const SemanticsOptions& opts = {});
+                                         const SemanticsOptions& opts = {},
+                                         const Partition* partition = nullptr);
 
 }  // namespace dd
 

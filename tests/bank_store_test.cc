@@ -108,7 +108,7 @@ TEST(BankStore, RefusesIncompleteBanks) {
   truncated->complete = false;
   store.Insert("k", truncated);
   EXPECT_EQ(store.size(), 0);
-  EXPECT_EQ(store.stats().truncated_rejected, 1);
+  EXPECT_EQ(store.stats().rejected, 1);
   EXPECT_EQ(store.Lookup("k", 3), nullptr);
 }
 
@@ -302,9 +302,9 @@ TEST(BankStoreFaults, InjectionSweepNeverStoresIncompleteBank) {
     // was stored.
     if (r.bank_store() != nullptr) {
       r.bank_store()->ForEach(
-          [&](const std::string& key, const ModelBank& bank) {
-            EXPECT_TRUE(bank.complete) << "k=" << k << " " << key;
-            EXPECT_NE(bank.models, nullptr) << "k=" << k << " " << key;
+          [&](const std::string& key, const auto& bank) {
+            EXPECT_TRUE(bank->complete) << "k=" << k << " " << key;
+            EXPECT_NE(bank->models, nullptr) << "k=" << k << " " << key;
           });
     }
     // With the fault gone, the same reasoner (and its store) recovers the

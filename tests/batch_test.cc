@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "batch/answer_cache.h"
+#include "batch/model_bank_store.h"
 #include "batch/query_batch.h"
 #include "core/reasoner.h"
 #include "gen/generators.h"
@@ -122,7 +123,7 @@ TEST(AnswerCache, RefusesUnknown) {
   cache.SetEpoch(1);
   cache.Insert("k", Trilean::kUnknown);
   EXPECT_EQ(cache.size(), 0);
-  EXPECT_EQ(cache.stats().unknown_rejected, 1);
+  EXPECT_EQ(cache.stats().rejected, 1);
   EXPECT_FALSE(cache.Lookup("k").has_value());
 }
 
@@ -510,6 +511,106 @@ TEST(BatchCache, FingerprintChangeInvalidatesSharedCache) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->stats.cache_invalidations, 1);
   EXPECT_EQ(second->stats.cache_hits, 0);
+}
+
+TEST(BatchCounters, SharedCacheAndStoreCountEachBatchsOwnTraffic) {
+  // Two reasoners over different databases alternate batches through ONE
+  // answer cache and ONE bank store, both at capacity 1. Every batch's
+  // cache_* / bank_store_* counters must equal the traffic that batch
+  // made, measured here as the shared structures' stat deltas around the
+  // call (nothing else touches them meanwhile). The sequence covers
+  // fingerprint switches, evictions, a refused kUnknown insert and a
+  // width-floor store miss.
+  Reasoner ra(Db("a | b. c | d."));
+  Reasoner rb(Db("p | q. r | s."));
+  batch::AnswerCache cache(1);
+  batch::ModelBankStore store(1);
+  struct Step {
+    Reasoner* r;
+    std::vector<batch::BatchQuery> qs;
+    int64_t oracle_call_budget;
+    int64_t model_bank_cap;  ///< 0 leaves the store untouched
+  };
+  const std::vector<Step> steps = {
+      // Two modules: two inserts into each capacity-1 structure.
+      {&ra, {{"a", true}, {"c", true}}, -1, 4096},
+      // Fingerprint switch: both structures invalidate.
+      {&rb, {{"p", true}, {"r", true}}, -1, 4096},
+      // Switch back under a zero oracle budget: kUnknown, refused.
+      {&ra, {{"b", true}}, 0, 4096},
+      {&rb, {{"q", true}}, -1, 0},
+      // Stores the {a, b} module bank under ra's epoch.
+      {&ra, {{"a", true}}, -1, 4096},
+      {&rb, {{"not q", true}}, -1, 0},
+      // A new atom outgrows the stored bank: a width-floor miss that
+      // keeps the entry (the rebuilt bank refreshes it, no insertion).
+      {&ra, {{"a | z", false}}, -1, 4096},
+      {&rb, {{"p", true}}, -1, 4096},
+  };
+  for (size_t i = 0; i < steps.size(); ++i) {
+    const Step& step = steps[i];
+    batch::BatchOptions opts;
+    opts.cache = &cache;
+    opts.bank_store = &store;
+    opts.oracle_call_budget = step.oracle_call_budget;
+    opts.model_bank_cap = step.model_bank_cap;
+    const batch::AnswerCache::Stats c0 = cache.stats();
+    const batch::ModelBankStore::Stats s0 = store.stats();
+    Result<batch::BatchAnswer> r =
+        step.r->AnswerBatch(SemanticsKind::kGcwa, step.qs, opts);
+    ASSERT_TRUE(r.ok()) << "step " << i;
+    const batch::AnswerCache::Stats& c1 = cache.stats();
+    const batch::ModelBankStore::Stats& s1 = store.stats();
+    const batch::BatchStats& bs = r->stats;
+    EXPECT_EQ(bs.cache_hits, c1.hits - c0.hits) << "step " << i;
+    EXPECT_EQ(bs.cache_misses, c1.misses - c0.misses) << "step " << i;
+    EXPECT_EQ(bs.cache_insertions, c1.insertions - c0.insertions)
+        << "step " << i;
+    EXPECT_EQ(bs.cache_evictions, c1.evictions - c0.evictions)
+        << "step " << i;
+    EXPECT_EQ(bs.cache_invalidations, c1.invalidations - c0.invalidations)
+        << "step " << i;
+    EXPECT_EQ(bs.bank_store_hits, s1.hits - s0.hits) << "step " << i;
+    EXPECT_EQ(bs.bank_store_misses, s1.misses - s0.misses) << "step " << i;
+    EXPECT_EQ(bs.bank_store_insertions, s1.insertions - s0.insertions)
+        << "step " << i;
+    EXPECT_EQ(bs.bank_store_evictions, s1.evictions - s0.evictions)
+        << "step " << i;
+    EXPECT_EQ(bs.bank_store_invalidations,
+              s1.invalidations - s0.invalidations)
+        << "step " << i;
+    EXPECT_EQ(bs.bank_store_truncated_rejected, s1.rejected - s0.rejected)
+        << "step " << i;
+    // The events the sequence is built to produce.
+    switch (i) {
+      case 0:
+        EXPECT_EQ(bs.cache_evictions, 1);
+        EXPECT_EQ(bs.bank_store_evictions, 1);
+        break;
+      case 1:
+        EXPECT_EQ(bs.cache_invalidations, 1);
+        EXPECT_EQ(bs.bank_store_invalidations, 1);
+        break;
+      case 2:
+        EXPECT_EQ(bs.unknowns, 1);
+        EXPECT_EQ(c1.rejected - c0.rejected, 1);
+        EXPECT_EQ(bs.cache_insertions, 0);
+        break;
+      case 3:
+      case 5:
+        EXPECT_EQ(s1.hits + s1.misses + s1.invalidations,
+                  s0.hits + s0.misses + s0.invalidations);
+        break;
+      case 6:
+        EXPECT_EQ(bs.bank_store_misses, 1);
+        EXPECT_EQ(bs.bank_store_hits, 0);
+        EXPECT_EQ(bs.bank_store_insertions, 0);
+        EXPECT_EQ(store.size(), 1);
+        break;
+      default:
+        break;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
