@@ -102,7 +102,9 @@ if [ "$FAST" -eq 0 ]; then
   # are exercised from multiple threads (RequestGate waiters, hot reload).
   # tmpl_test joins because template answering fans every substitution out
   # over the batch pool (threads {1,4} sweeps in the equivalence matrix).
-  CTEST_FILTER='thread_pool_test|oracle_session_test|fixpoint_test|egcwa_ecwa_test|ddr_pws_test|batch_test|bank_store_test|serve_test|tmpl_test' \
+  # slice_test joins because its compact-slice differential runs 4-thread
+  # batches whose groups read the reasoner's cached compact sub-databases.
+  CTEST_FILTER='thread_pool_test|oracle_session_test|fixpoint_test|egcwa_ecwa_test|ddr_pws_test|batch_test|bank_store_test|serve_test|tmpl_test|slice_test' \
   run_leg "tsan (concurrency tests)" build-check-tsan \
           -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDD_SANITIZE=thread \
           -DDD_BUILD_BENCHMARKS=OFF

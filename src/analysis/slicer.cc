@@ -4,6 +4,8 @@
 #include <functional>
 #include <numeric>
 
+#include "util/macros.h"
+
 namespace dd {
 namespace analysis {
 
@@ -32,6 +34,19 @@ void ForEachAtom(const Clause& c, const std::function<void(Var)>& f) {
 }
 
 }  // namespace
+
+Var LocalVar(const std::vector<Var>& atoms, Var v) {
+  auto it = std::lower_bound(atoms.begin(), atoms.end(), v);
+  if (it == atoms.end() || *it != v) return kInvalidVar;
+  return static_cast<Var>(it - atoms.begin());
+}
+
+Interpretation LiftToParent(const Interpretation& local,
+                            const std::vector<Var>& atoms, int parent_width) {
+  Interpretation out(parent_width);
+  for (Var v : local.TrueAtoms()) out.Insert(atoms[static_cast<size_t>(v)]);
+  return out;
+}
 
 Slicer::Slicer(Database db) : db_(std::move(db)) {
   const size_t n = static_cast<size_t>(db_.num_vars());
@@ -128,6 +143,41 @@ SliceResult Slicer::ModuleUnion(const std::vector<Var>& roots) const {
   out.proper =
       static_cast<int>(out.clause_indices.size()) < db_.num_clauses();
   return out;
+}
+
+SubDatabase Slicer::MakeSubDatabase(const SliceResult& slice) const {
+  SubDatabase out;
+  out.to_parent = slice.relevant.TrueAtoms();
+  Vocabulary voc;
+  for (Var v : out.to_parent) voc.Intern(db_.vocabulary().Name(v));
+  out.db = Database(std::move(voc));
+  auto rename = [&](const std::vector<Var>& atoms) {
+    std::vector<Var> local;
+    local.reserve(atoms.size());
+    for (Var v : atoms) {
+      const Var l = LocalVar(out.to_parent, v);
+      DD_CHECK(l != kInvalidVar);  // slices are closed under their clauses
+      local.push_back(l);
+    }
+    return local;
+  };
+  for (int ci : slice.clause_indices) {
+    const Clause& c = db_.clause(ci);
+    out.db.AddClause(
+        Clause(rename(c.heads()), rename(c.pos_body()), rename(c.neg_body())));
+  }
+  return out;
+}
+
+std::vector<Var> Slicer::ClauseAtoms(
+    const std::vector<int>& clause_indices) const {
+  std::vector<Var> atoms;
+  for (int ci : clause_indices) {
+    ForEachAtom(db_.clause(ci), [&](Var v) { atoms.push_back(v); });
+  }
+  std::sort(atoms.begin(), atoms.end());
+  atoms.erase(std::unique(atoms.begin(), atoms.end()), atoms.end());
+  return atoms;
 }
 
 }  // namespace analysis

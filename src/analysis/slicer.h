@@ -38,6 +38,25 @@ struct SliceResult {
   bool proper = false;             ///< strictly fewer clauses than the DB
 };
 
+/// A slice materialized as a database of its own (Slicer::MakeSubDatabase).
+struct SubDatabase {
+  /// The slice's clauses over a compact vocabulary: exactly the slice's
+  /// atoms, renumbered 0..k-1 in ascending parent-Var order.
+  Database db;
+  /// Local Var -> parent Var, ascending, so the renumbering is monotone.
+  std::vector<Var> to_parent;
+};
+
+/// The index of parent atom `v` in the ascending list `atoms` (its local
+/// Var in the numbering `atoms` defines), or kInvalidVar when absent.
+Var LocalVar(const std::vector<Var>& atoms, Var v);
+
+/// `local`, an interpretation in the numbering `atoms` defines, lifted to
+/// a parent interpretation over `parent_width` atoms: atom i of `local`
+/// becomes atoms[i]; every atom outside `atoms` is false.
+Interpretation LiftToParent(const Interpretation& local,
+                            const std::vector<Var>& atoms, int parent_width);
+
 /// Precomputed incidence structure for one database. Keeps its own copy of
 /// the database (like FastPathEngine), so it stays valid when the owning
 /// facade moves; the Reasoner drops it whenever the vocabulary grows.
@@ -59,11 +78,18 @@ class Slicer {
   const std::vector<int>& module_ids() const { return module_id_; }
   int num_modules() const { return num_modules_; }
 
-  /// Materializes the sliced sub-database (same vocabulary and variable
-  /// space; atoms outside the cone simply never occur).
-  Database MakeSubDatabase(const SliceResult& slice) const {
-    return db_.SelectClauses(slice.clause_indices);
-  }
+  /// Materializes the slice as a compact database: its vocabulary is
+  /// slice.relevant — the atoms the slice's clauses mention plus query
+  /// roots no slice clause mentions — renumbered in ascending parent-Var
+  /// order, and its clauses are slice.clause_indices renamed into that
+  /// numbering. An engine over it runs on O(slice) SAT variables, not
+  /// O(vocabulary). Callers rename queries in (LocalVar) and models out
+  /// (LiftToParent); atoms outside the slice are false in every intended
+  /// model of a SliceIsSound semantics, which is what LiftToParent fills.
+  SubDatabase MakeSubDatabase(const SliceResult& slice) const;
+
+  /// The atoms the listed clauses mention, ascending.
+  std::vector<Var> ClauseAtoms(const std::vector<int>& clause_indices) const;
 
  private:
   Database db_;

@@ -41,6 +41,12 @@ std::vector<PlannedGroup> PlanGroups(
       g.whole_db = whole;
       if (!whole) g.slice = std::move(slice);
       groups.push_back(std::move(g));
+    } else if (!whole) {
+      // Same clauses, possibly other query-only atoms (roots no clause
+      // mentions): the group's atom set is the union.
+      for (Var v : slice.relevant.TrueAtoms()) {
+        groups[it->second].slice.relevant.Insert(v);
+      }
     }
     groups[it->second].query_indices.push_back(qi);
   }

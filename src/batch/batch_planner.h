@@ -30,7 +30,9 @@ namespace batch {
 /// query vector) plus the database restriction they run on.
 struct PlannedGroup {
   std::vector<int> query_indices;
-  analysis::SliceResult slice;  ///< meaningful when !whole_db
+  /// Meaningful when !whole_db: the members' shared clause footprint,
+  /// with `relevant` the union of their module atoms and query-only atoms.
+  analysis::SliceResult slice;
   bool whole_db = false;        ///< evaluate on the full database
 };
 

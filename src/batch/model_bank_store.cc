@@ -1,16 +1,21 @@
 #include "batch/model_bank_store.h"
 
+#include <limits>
 #include <utility>
 
+#include "analysis/slicer.h"
+#include "util/macros.h"
 #include "util/string_util.h"
 
 namespace dd {
 namespace batch {
 
 std::string ModelBankStore::MakeKey(uint64_t module_fingerprint,
-                                    SemanticsKind kind, int64_t cap) {
-  return StrFormat("%016llx|%s|%lld",
+                                    uint64_t atom_order, SemanticsKind kind,
+                                    int64_t cap) {
+  return StrFormat("%016llx|%016llx|%s|%lld",
                    static_cast<unsigned long long>(module_fingerprint),
+                   static_cast<unsigned long long>(atom_order),
                    SemanticsKindName(kind), static_cast<long long>(cap));
 }
 
@@ -33,6 +38,28 @@ ModelBankStore::Inserted ModelBankStore::Insert(
   const bool complete =
       bank != nullptr && bank->models != nullptr && bank->complete;
   return Put(key, std::move(bank), complete);
+}
+
+std::shared_ptr<const ModelBank> RenumberBank(const ModelBank& bank,
+                                              const std::vector<Var>& from,
+                                              const std::vector<Var>& to) {
+  auto models = std::make_shared<std::vector<Interpretation>>();
+  models->reserve(bank.models->size());
+  for (const Interpretation& m : *bank.models) {
+    Interpretation renumbered(static_cast<int>(to.size()));
+    for (Var v : m.TrueAtoms()) {
+      const Var local = analysis::LocalVar(to, from[static_cast<size_t>(v)]);
+      DD_CHECK(local != kInvalidVar);
+      renumbered.Insert(local);
+    }
+    models->push_back(std::move(renumbered));
+  }
+  auto out = std::make_shared<ModelBank>();
+  out->num_vars = models->empty() ? std::numeric_limits<int>::max()
+                                  : static_cast<int>(to.size());
+  out->models = std::move(models);
+  out->complete = bank.complete;
+  return out;
 }
 
 }  // namespace batch

@@ -10,13 +10,23 @@
 // repeated *queries*. The store closes that gap: a bank built by one
 // batch is keyed on
 //
-//   (module fingerprint, semantics kind, effective enumeration cap)
+//   (module fingerprint, atom order, semantics kind, effective cap)
 //
 // and reused by any later group with the same key — across batches,
 // across skeptical and brave modes (the bank is the model set; the modes
 // differ only in the for-all vs exists pass over it), and across ladder
 // rungs of the serving layer (a retried request never rebuilds a bank an
 // earlier rung already completed).
+//
+// Banks are bitsets over a numbering, and the module fingerprint hashes
+// names, not Vars: two databases with equal fingerprints may number their
+// atoms differently. The atom order (util/fingerprint.h
+// AtomOrderFingerprint) pins the numbering a bank was built over — for a
+// module bank, the names of the module's clause-mentioned atoms in
+// ascending Var order, which is the compact numbering its models use; for
+// a whole-database bank, the names of the vocabulary prefix its clauses
+// mention. A bank is only ever read through the numbering it was built
+// over.
 //
 // Safety contract:
 //   * Only COMPLETE banks are ever stored. A bank truncated by a model
@@ -84,11 +94,12 @@ class ModelBankStore : public EpochLru<std::shared_ptr<const ModelBank>> {
   /// smaller than AnswerCache's.
   explicit ModelBankStore(int64_t capacity = 32) : EpochLru(capacity) {}
 
-  /// The canonical composite key. `cap` is the effective bank cap the
+  /// The canonical composite key. `atom_order` pins the numbering the
+  /// bank's models use (see above); `cap` is the effective bank cap the
   /// enumeration ran under (EffectiveBankCap): two batches share a bank
   /// only when they would have built the same one.
-  static std::string MakeKey(uint64_t module_fingerprint, SemanticsKind kind,
-                             int64_t cap);
+  static std::string MakeKey(uint64_t module_fingerprint, uint64_t atom_order,
+                             SemanticsKind kind, int64_t cap);
 
   /// The stored bank for `key`, if present AND wide enough to evaluate
   /// formulas over vars [0, min_num_vars). Refreshes LRU order on hit;
@@ -102,6 +113,14 @@ class ModelBankStore : public EpochLru<std::shared_ptr<const ModelBank>> {
   Inserted Insert(const std::string& key,
                   std::shared_ptr<const ModelBank> bank);
 };
+
+/// `bank` renumbered from the numbering the ascending parent-Var list
+/// `from` defines into that of `to`. Every atom true in some model must
+/// be in `to`: a compact module bank built with query-only atoms (always
+/// false) renumbers onto the module's own atoms this way before storing.
+std::shared_ptr<const ModelBank> RenumberBank(const ModelBank& bank,
+                                              const std::vector<Var>& from,
+                                              const std::vector<Var>& to);
 
 }  // namespace batch
 }  // namespace dd

@@ -4,7 +4,9 @@
 #include <limits>
 #include <utility>
 
+#include "analysis/slicer.h"
 #include "logic/formula_transform.h"
+#include "util/macros.h"
 
 namespace dd {
 namespace batch {
@@ -20,6 +22,7 @@ void BatchStats::Add(const BatchStats& o) {
   fallback_groups += o.fallback_groups;
   bank_models += o.bank_models;
   unknowns += o.unknowns;
+  group_atoms += o.group_atoms;
   cache_hits += o.cache_hits;
   cache_misses += o.cache_misses;
   cache_insertions += o.cache_insertions;
@@ -44,6 +47,7 @@ void Publish(const BatchStats& s, obs::MetricsRegistry* reg) {
   reg->Add("dd.batch.fallback_groups", s.fallback_groups);
   reg->Add("dd.batch.bank_models", s.bank_models);
   reg->Add("dd.batch.unknowns", s.unknowns);
+  reg->Add("dd.batch.group_atoms", s.group_atoms);
   reg->Add("dd.cache.hits", s.cache_hits);
   reg->Add("dd.cache.misses", s.cache_misses);
   reg->Add("dd.cache.insertions", s.cache_insertions);
@@ -130,6 +134,19 @@ CanonicalQuery CanonicalizeSimplified(Formula f, const Vocabulary& voc) {
   return q;
 }
 
+CanonicalQuery RenameQuery(const CanonicalQuery& q,
+                           const std::vector<Var>& atoms) {
+  CanonicalQuery out;
+  out.f = RenameAtoms(q.f, [&](Var v) { return analysis::LocalVar(atoms, v); });
+  out.key = q.key;
+  CollectVars(out.f, &out.roots);
+  std::sort(out.roots.begin(), out.roots.end());
+  out.roots.erase(std::unique(out.roots.begin(), out.roots.end()),
+                  out.roots.end());
+  out.lit = AsLiteral(out.f);
+  return out;
+}
+
 std::vector<Formula> SplitConjuncts(const Formula& f) {
   Formula s = Simplify(f);
   if (s->kind() == FormulaKind::kAnd) {
@@ -212,6 +229,7 @@ GroupResult EvaluateGroup(const GroupRequest& req) {
     return out;
   }
 
+  DD_CHECK(req.db != nullptr);
   std::unique_ptr<Semantics> engine =
       MakeSemantics(req.kind, *req.db, req.opts, req.partition);
   if (req.budget != nullptr) engine->SetBudget(req.budget);

@@ -157,6 +157,8 @@ struct BatchStats {
   int64_t bank_models = 0;      ///< models enumerated into banks (built
                                 ///< this batch; store hits add nothing)
   int64_t unknowns = 0;         ///< kUnknown answers returned (exhaustion)
+  int64_t group_atoms = 0;      ///< vocabulary width summed over the groups
+                                ///< that ran an engine (store hits run none)
   /// This batch's own answer-cache (dd.cache.*) and model-bank store
   /// (dd.bank.*) calls, counted as it makes them.
   int64_t cache_hits = 0;
@@ -187,6 +189,10 @@ struct BatchAnswer {
   /// brave kYes, a counterexample violating it for a skeptical kNo —
   /// and nullopt for the verdicts that have no certificate (skeptical
   /// kYes, brave kNo, kUnknown). Empty when witnesses are not collected.
+  /// The witness certifies the decisive split part; when that part ran
+  /// in a module group, it is an intended model of the module's slice,
+  /// lifted to the whole vocabulary with every atom outside the slice
+  /// false (the restriction of a whole-database intended model).
   std::vector<std::optional<Interpretation>> witnesses;
   BatchStats stats;
 };
@@ -200,6 +206,14 @@ struct CanonicalQuery {
   std::vector<Var> roots;
   std::optional<Lit> lit;
 };
+
+/// `q` renamed into the numbering the ascending parent-Var list `atoms`
+/// defines (analysis::LocalVar): an atom outside `atoms` becomes the
+/// constant false. The key is kept; `lit` is recomputed. Sound wherever
+/// the dropped atoms are false in every intended model, as atoms no
+/// clause of a compact slice mentions are under SliceIsSound.
+CanonicalQuery RenameQuery(const CanonicalQuery& q,
+                           const std::vector<Var>& atoms);
 
 /// The canonical key of `f` (assumed simplified): a serialization that is
 /// invariant under child order of ∧/∨/↔ and under vocabulary interning
@@ -250,9 +264,13 @@ inline int64_t EffectiveBankCap(int64_t model_bank_cap,
                              : model_bank_cap;
 }
 
-/// One evaluation group: a database restriction plus the member queries.
+/// One evaluation group: a database restriction plus the member queries,
+/// both in the restriction's own numbering (a compact module
+/// sub-database renumbers its atoms; analysis::SubDatabase).
 struct GroupRequest {
-  const Database* db = nullptr;  ///< whole db or a module sub-database
+  /// Whole db or a compact module sub-database; may be null when `bank`
+  /// answers the group.
+  const Database* db = nullptr;
   SemanticsKind kind = SemanticsKind::kGcwa;
   BatchMode mode = BatchMode::kSkeptical;
   SemanticsOptions opts;              ///< engine tuning (trace-free)

@@ -1,8 +1,11 @@
 #include "core/reasoner.h"
 
+#include <algorithm>
+#include <numeric>
 #include <unordered_map>
 
 #include "batch/batch_planner.h"
+#include "logic/formula_transform.h"
 #include "obs/stats_view.h"
 #include "util/fingerprint.h"
 #include "util/string_util.h"
@@ -130,30 +133,70 @@ Semantics* Reasoner::GetHcf(SemanticsKind kind) {
   return it->second.get();
 }
 
-Semantics* Reasoner::GetSliced(SemanticsKind kind,
-                               const analysis::SliceResult& s) {
-  auto key = std::make_pair(kind, s.clause_indices);
-  auto it = slice_engines_.find(key);
-  if (it == slice_engines_.end()) {
+Lit Reasoner::Routed::Local(Lit l) const {
+  if (sub == nullptr) return l;
+  return Lit::Make(analysis::LocalVar(sub->to_parent, l.var()), l.positive());
+}
+
+Formula Reasoner::Routed::Local(const Formula& f) const {
+  if (sub == nullptr) return f;
+  return RenameAtoms(
+      f, [this](Var v) { return analysis::LocalVar(sub->to_parent, v); });
+}
+
+Reasoner::CompactSlice* Reasoner::GetCompactSlice(
+    const analysis::SliceResult& s) {
+  auto [it, fresh] = compact_slices_.try_emplace(
+      std::make_pair(s.clause_indices, s.relevant.TrueAtoms()));
+  CompactSlice& cs = it->second;
+  if (fresh) {
+    cs.fingerprint = ClauseSubsetFingerprint(db_, s.clause_indices);
+    cs.module_atoms = slicer()->ClauseAtoms(s.clause_indices);
+    cs.atom_order = AtomOrderFingerprint(db_.vocabulary(), cs.module_atoms);
+  }
+  return &cs;
+}
+
+void Reasoner::RouteToSlice(SemanticsKind kind,
+                            const analysis::SliceResult& s, Routed* rt) {
+  CompactSlice* cs = GetCompactSlice(s);
+  if (!cs->sub.has_value()) cs->sub = slicer()->MakeSubDatabase(s);
+  auto it = cs->engines.find(kind);
+  if (it == cs->engines.end()) {
     SemanticsOptions o = opts_;
     // Compose the speedups: a sub-database of a head-cycle-free database
     // is head-cycle-free (its positive graph is a subgraph), and the
     // engine re-verifies applicability on the slice itself anyway.
     o.hcf_minimality = true;
     o.hcf_certificates = certify_ ? hcf_cert_sink_.get() : nullptr;
-    Database sub = slicer()->MakeSubDatabase(s);
-    std::unique_ptr<Semantics> engine = MakeSemantics(kind, sub, o);
+    std::unique_ptr<Semantics> engine = MakeSemantics(kind, cs->sub->db, o);
     engine->SetTrace(trace_);
-    it = slice_engines_.emplace(std::move(key), std::move(engine)).first;
+    it = cs->engines.emplace(kind, std::move(engine)).first;
   }
-  return it->second.get();
+  rt->engine = it->second.get();
+  rt->sub = &*cs->sub;
+}
+
+uint64_t Reasoner::whole_atom_order() {
+  if (!whole_atom_order_.has_value()) {
+    Var max_var = -1;
+    for (const Clause& c : db_.clauses()) {
+      max_var = std::max(max_var, c.MaxVar());
+    }
+    std::vector<Var> prefix(static_cast<size_t>(max_var + 1));
+    std::iota(prefix.begin(), prefix.end(), 0);
+    whole_atom_order_ = AtomOrderFingerprint(db_.vocabulary(), prefix);
+  }
+  return *whole_atom_order_;
 }
 
 void Reasoner::set_trace(obs::TraceContext* trace) {
   trace_ = trace;
   for (auto& [kind, engine] : engines_) engine->SetTrace(trace);
   for (auto& [kind, engine] : hcf_engines_) engine->SetTrace(trace);
-  for (auto& [key, engine] : slice_engines_) engine->SetTrace(trace);
+  for (auto& [key, cs] : compact_slices_) {
+    for (auto& [kind, engine] : cs.engines) engine->SetTrace(trace);
+  }
 }
 
 Status Reasoner::SetPartition(const std::vector<std::string>& p_atoms,
@@ -213,7 +256,7 @@ Status Reasoner::SetPartition(const std::vector<std::string>& p_atoms,
 void Reasoner::InvalidateCaches() {
   engines_.clear();
   hcf_engines_.clear();
-  slice_engines_.clear();
+  compact_slices_.clear();
   props_.reset();
   fast_.reset();
   slicer_.reset();
@@ -320,7 +363,7 @@ Reasoner::Routed Reasoner::RouteLiteral(SemanticsKind kind, Lit l) {
         cert.slice_clauses = slice->clause_indices;
         CheckCertificate(cert);
       }
-      rt.engine = GetSliced(kind, *slice);
+      RouteToSlice(kind, *slice, &rt);
       return rt;
     case analysis::EnginePath::kHcfUnfounded:
       rt.engine = GetHcf(kind);
@@ -369,7 +412,7 @@ Reasoner::Routed Reasoner::RouteFormula(SemanticsKind kind, const Formula& f) {
         cert.slice_clauses = mod->clause_indices;
         CheckCertificate(cert);
       }
-      rt.engine = GetSliced(kind, *mod);
+      RouteToSlice(kind, *mod, &rt);
       return rt;
     case analysis::EnginePath::kHcfUnfounded:
       rt.engine = GetHcf(kind);
@@ -520,7 +563,7 @@ Result<bool> Reasoner::LiteralQuery(SemanticsKind kind,
   // irrelevant and the exact answer stands.
   if (rt.engine == nullptr) return fast_engine()->InfersLiteral(rt.path, l);
   EngineScope scope(rt.engine, q, trace_, &span);
-  Result<bool> r = rt.engine->InfersLiteral(l);
+  Result<bool> r = rt.engine->InfersLiteral(rt.Local(l));
   DrainHcfCertificates();
   return r;
 }
@@ -534,7 +577,7 @@ Result<bool> Reasoner::FormulaQuery(SemanticsKind kind,
   Routed rt = RouteFormula(kind, f);
   if (rt.engine == nullptr) return fast_engine()->InfersFormula(rt.path, f);
   EngineScope scope(rt.engine, q, trace_, &span);
-  Result<bool> r = rt.engine->InfersFormula(f);
+  Result<bool> r = rt.engine->InfersFormula(rt.Local(f));
   DrainHcfCertificates();
   return r;
 }
@@ -798,18 +841,17 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
                  bopts.cancel);
   if (budget != nullptr) span.AttachBudget(budget);
 
-  std::vector<Database> group_dbs;
-  group_dbs.reserve(plan.size());
   std::vector<batch::GroupRequest> requests(plan.size());
   std::vector<std::string> store_keys(plan.size());
+  // Module groups run in their own compact numbering: their queries are
+  // renamed into it, and witnesses map back through `to_parent` (the
+  // compact sub-database's atoms, or the module atoms a stored bank is
+  // numbered over); null for whole-database groups, which keep db_'s.
+  std::vector<std::vector<batch::CanonicalQuery>> local_queries(plan.size());
+  std::vector<const std::vector<Var>*> to_parent(plan.size(), nullptr);
+  std::vector<const CompactSlice*> compact(plan.size(), nullptr);
   for (size_t g = 0; g < plan.size(); ++g) {
     batch::GroupRequest& req = requests[g];
-    if (plan[g].whole_db) {
-      req.db = &db_;
-    } else {
-      group_dbs.push_back(slicer()->MakeSubDatabase(plan[g].slice));
-      req.db = &group_dbs.back();
-    }
     req.kind = kind;
     req.opts = opts_;
     // Group engines are single-threaded (the batch parallelizes across
@@ -819,34 +861,67 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
     req.opts.num_threads = 1;
     req.opts.hcf_certificates = nullptr;
     // Sub-databases of an HCF database stay HCF; the engine re-verifies
-    // applicability itself (same composition as GetSliced).
+    // applicability itself (same composition as RouteToSlice).
     if (!plan[g].whole_db) req.opts.hcf_minimality = true;
     req.partition = partition_.has_value() ? &*partition_ : nullptr;
-    req.queries.reserve(plan[g].query_indices.size());
-    for (int u : plan[g].query_indices) req.queries.push_back(&uniq[u]);
     req.budget = budget;
     req.model_bank_cap = bopts.model_bank_cap;
     req.mode = mode;
     req.collect_witnesses = bopts.collect_witnesses;
-    // Cross-batch bank reuse: probe the store for this group's module
-    // bank (lookups and inserts run on the caller's thread — the store
-    // is not thread-safe). The key is the module's OWN fingerprint, so a
-    // module shared by two differently-shaped batches hits the same
-    // bank; the width floor guards Interpretation::Contains against
-    // queries whose atoms were interned after the bank was built.
-    if (store != nullptr) {
-      const uint64_t module_fp =
-          plan[g].whole_db ? fp : DatabaseFingerprint(*req.db);
-      store_keys[g] = batch::ModelBankStore::MakeKey(
-          module_fp, kind, batch::EffectiveBankCap(bopts.model_bank_cap,
-                                                   req.opts));
-      int min_vars = 0;
-      for (const batch::CanonicalQuery* q : req.queries) {
-        for (Var v : q->roots) {
-          min_vars = std::max(min_vars, static_cast<int>(v) + 1);
+    // Cross-batch bank reuse: probe the store for this group's bank
+    // (lookups and inserts run on the caller's thread — the store is not
+    // thread-safe). A module bank is keyed on the module's OWN
+    // fingerprint and atom order, so a module shared by two
+    // differently-shaped batches, or by two reasoners numbering its atoms
+    // alike, hits the same bank. Whole-database banks keep db_'s
+    // numbering; their width floor guards Interpretation::Contains
+    // against queries whose atoms were interned after the bank was built.
+    const int64_t cap = batch::EffectiveBankCap(bopts.model_bank_cap,
+                                                req.opts);
+    if (plan[g].whole_db) {
+      req.db = &db_;
+      for (int u : plan[g].query_indices) req.queries.push_back(&uniq[u]);
+      if (store != nullptr) {
+        store_keys[g] = batch::ModelBankStore::MakeKey(
+            fp, whole_atom_order(), kind, cap);
+        int min_vars = 0;
+        for (int u : plan[g].query_indices) {
+          for (Var v : uniq[u].roots) {
+            min_vars = std::max(min_vars, static_cast<int>(v) + 1);
+          }
         }
+        req.bank = store->Lookup(store_keys[g], min_vars);
       }
-      req.bank = store->Lookup(store_keys[g], min_vars);
+    } else {
+      // A store hit materializes nothing: the key needs only the
+      // footprint's fingerprint and atom order, and a stored bank is
+      // numbered over the module atoms, where the group's query-only
+      // atoms read false.
+      CompactSlice* cs = GetCompactSlice(plan[g].slice);
+      compact[g] = cs;
+      if (store != nullptr) {
+        store_keys[g] = batch::ModelBankStore::MakeKey(
+            cs->fingerprint, cs->atom_order, kind, cap);
+        req.bank = store->Lookup(store_keys[g], 0);
+      }
+      if (req.bank != nullptr) {
+        to_parent[g] = &cs->module_atoms;
+      } else {
+        if (!cs->sub.has_value()) {
+          cs->sub = slicer()->MakeSubDatabase(plan[g].slice);
+        }
+        req.db = &cs->sub->db;
+        to_parent[g] = &cs->sub->to_parent;
+      }
+      local_queries[g].reserve(plan[g].query_indices.size());
+      for (int u : plan[g].query_indices) {
+        local_queries[g].push_back(batch::RenameQuery(uniq[u], *to_parent[g]));
+      }
+      for (const batch::CanonicalQuery& q : local_queries[g]) {
+        req.queries.push_back(&q);
+      }
+    }
+    if (store != nullptr) {
       req.export_bank = req.bank == nullptr;
       ++(req.bank != nullptr ? bs.bank_store_hits : bs.bank_store_misses);
     }
@@ -877,11 +952,22 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
     } else if (evaluated) {
       ++bs.fallback_groups;
     }
+    if (evaluated && !res.bank_from_store) {
+      bs.group_atoms += requests[g].db->num_vars();
+    }
     // A complete bank built on a store miss feeds the store for later
     // batches; EvaluateGroup never exports truncated banks, and Insert
-    // itself refuses them (defense in depth, counted).
+    // itself refuses them (defense in depth, counted). A module bank is
+    // stored over the module atoms: when the group's query-only atoms
+    // widened its compact numbering, the bank is renumbered first.
     if (store != nullptr && res.built_bank != nullptr) {
-      const auto ins = store->Insert(store_keys[g], res.built_bank);
+      std::shared_ptr<const batch::ModelBank> bank = res.built_bank;
+      if (compact[g] != nullptr &&
+          to_parent[g]->size() != compact[g]->module_atoms.size()) {
+        bank = batch::RenumberBank(*bank, *to_parent[g],
+                                   compact[g]->module_atoms);
+      }
+      const auto ins = store->Insert(store_keys[g], std::move(bank));
       bs.bank_store_insertions += ins.added;
       bs.bank_store_evictions += ins.evictions;
       bs.bank_store_truncated_rejected += ins.rejected;
@@ -892,8 +978,12 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
       uniq_answers[u] = evaluated ? res.answers[k] : Trilean::kUnknown;
       answered[u] = 1;
       if (bopts.collect_witnesses && evaluated &&
-          k < res.witnesses.size()) {
-        uniq_witnesses[u] = res.witnesses[k];
+          k < res.witnesses.size() && res.witnesses[k].has_value()) {
+        uniq_witnesses[u] =
+            to_parent[g] == nullptr
+                ? *res.witnesses[k]
+                : analysis::LiftToParent(*res.witnesses[k], *to_parent[g],
+                                         db_.num_vars());
       }
     }
   }
@@ -940,6 +1030,7 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
   span.AddCounter("batch_bank_store_hits", bs.bank_store_hits);
   span.AddCounter("batch_cache_hits", bs.cache_hits);
   span.AddCounter("batch_unknowns", bs.unknowns);
+  span.AddCounter("batch_group_atoms", bs.group_atoms);
 
   batch_total_.Add(bs);
   out.stats = bs;
@@ -954,8 +1045,8 @@ MinimalStats Reasoner::TotalStats() const {
   for (const auto& [kind, engine] : hcf_engines_) {
     out.Add(engine->stats());
   }
-  for (const auto& [key, engine] : slice_engines_) {
-    out.Add(engine->stats());
+  for (const auto& [key, cs] : compact_slices_) {
+    for (const auto& [kind, engine] : cs.engines) out.Add(engine->stats());
   }
   out.Add(batch_engine_stats_);
   return out;
@@ -969,8 +1060,10 @@ oracle::SessionStats Reasoner::TotalSessionStats() const {
   for (const auto& [kind, engine] : hcf_engines_) {
     out.Add(engine->session_stats());
   }
-  for (const auto& [key, engine] : slice_engines_) {
-    out.Add(engine->session_stats());
+  for (const auto& [key, cs] : compact_slices_) {
+    for (const auto& [kind, engine] : cs.engines) {
+      out.Add(engine->session_stats());
+    }
   }
   out.Add(batch_engine_session_stats_);
   return out;

@@ -272,6 +272,26 @@ class Reasoner {
   struct Routed {
     analysis::EnginePath path = analysis::EnginePath::kGeneric;
     Semantics* engine = nullptr;
+    /// Set when `engine` runs on a compact slice; queries are renamed
+    /// into its numbering.
+    const analysis::SubDatabase* sub = nullptr;
+
+    Lit Local(Lit l) const;
+    Formula Local(const Formula& f) const;
+  };
+
+  /// One slice footprint — a clause set with its atom set — in compact
+  /// form, kept until InvalidateCaches(): the module fingerprint and atom
+  /// order that key its banks in the store, the clause-mentioned atoms
+  /// those banks are numbered over, and, built on first need, the compact
+  /// sub-database (analysis::SubDatabase) with the single-query engines
+  /// that run on it.
+  struct CompactSlice {
+    uint64_t fingerprint = 0;
+    uint64_t atom_order = 0;
+    std::vector<Var> module_atoms;
+    std::optional<analysis::SubDatabase> sub;
+    std::map<SemanticsKind, std::unique_ptr<Semantics>> engines;
   };
 
   /// Drops cached engines and analysis after the vocabulary grew.
@@ -284,9 +304,17 @@ class Reasoner {
   /// (EnginePath::kHcfUnfounded); cached separately from Get(kind) so the
   /// generic baseline's oracle accounting is untouched.
   Semantics* GetHcf(SemanticsKind kind);
-  /// The `kind` engine over the sliced sub-database, cached by the slice's
-  /// clause-index set.
-  Semantics* GetSliced(SemanticsKind kind, const analysis::SliceResult& s);
+  /// The cached compact form of slice `s` (never null); its
+  /// sub-database is left for the caller to build on first need.
+  CompactSlice* GetCompactSlice(const analysis::SliceResult& s);
+  /// Routes `rt` to the `kind` engine over the compact sub-database of
+  /// slice `s`, cached with the slice.
+  void RouteToSlice(SemanticsKind kind, const analysis::SliceResult& s,
+                    Routed* rt);
+  /// The atom order pinning whole-database banks: the names of the
+  /// vocabulary prefix the clauses mention, fixed for the reasoner's
+  /// lifetime (query atoms are interned after it).
+  uint64_t whole_atom_order();
 
   /// Routing front half shared by the literal/formula entry points:
   /// computes the query shape, records dispatch stats, emits the slice
@@ -321,9 +349,9 @@ class Reasoner {
   obs::TraceContext* trace_ = nullptr;
   std::map<SemanticsKind, std::unique_ptr<Semantics>> engines_;
   std::map<SemanticsKind, std::unique_ptr<Semantics>> hcf_engines_;
-  std::map<std::pair<SemanticsKind, std::vector<int>>,
-           std::unique_ptr<Semantics>>
-      slice_engines_;
+  /// Keyed by (clause indices, atoms) of the slice.
+  std::map<std::pair<std::vector<int>, std::vector<Var>>, CompactSlice>
+      compact_slices_;
   std::optional<Partition> partition_;
   /// Where atoms interned AFTER SetPartition land when the partition is
   /// regrown to a larger vocabulary (see InvalidateCaches).
@@ -334,6 +362,7 @@ class Reasoner {
   analysis::DispatchStats dispatch_stats_;
 
   std::optional<uint64_t> fingerprint_;
+  std::optional<uint64_t> whole_atom_order_;
   std::optional<ground::TupleIndex> mention_index_;
   std::unique_ptr<batch::AnswerCache> answer_cache_;
   std::unique_ptr<batch::ModelBankStore> bank_store_;

@@ -42,6 +42,35 @@ void Dedup(std::vector<Formula>* parts) {
 
 }  // namespace
 
+Formula RenameAtoms(const Formula& f, const std::function<Var(Var)>& rename) {
+  switch (f->kind()) {
+    case FormulaKind::kConst:
+      return f;
+    case FormulaKind::kAtom: {
+      const Var v = rename(f->atom());
+      return v == kInvalidVar ? FN::MakeConst(false) : FN::MakeAtom(v);
+    }
+    case FormulaKind::kNot:
+      return FN::MakeNot(RenameAtoms(f->children()[0], rename));
+    case FormulaKind::kImplies:
+      return FN::MakeImplies(RenameAtoms(f->children()[0], rename),
+                             RenameAtoms(f->children()[1], rename));
+    case FormulaKind::kIff:
+      return FN::MakeIff(RenameAtoms(f->children()[0], rename),
+                         RenameAtoms(f->children()[1], rename));
+    case FormulaKind::kAnd:
+    case FormulaKind::kOr:
+      break;
+  }
+  std::vector<Formula> children;
+  children.reserve(f->children().size());
+  for (const Formula& c : f->children()) {
+    children.push_back(RenameAtoms(c, rename));
+  }
+  return f->kind() == FormulaKind::kAnd ? FN::MakeAnd(std::move(children))
+                                        : FN::MakeOr(std::move(children));
+}
+
 bool StructurallyEqual(const Formula& a, const Formula& b) {
   if (a.get() == b.get()) return true;
   if (a->kind() != b->kind()) return false;

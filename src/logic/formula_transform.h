@@ -5,6 +5,8 @@
 #ifndef DD_LOGIC_FORMULA_TRANSFORM_H_
 #define DD_LOGIC_FORMULA_TRANSFORM_H_
 
+#include <functional>
+
 #include "logic/formula.h"
 
 namespace dd {
@@ -23,6 +25,11 @@ Formula Simplify(const Formula& f);
 /// Negation normal form: negation pushed to atoms, '->' and '<->'
 /// expanded. Equivalent in both two-valued and strong-Kleene semantics.
 Formula ToNnf(const Formula& f);
+
+/// `f` with every atom v replaced by atom rename(v), or by the constant
+/// false where rename(v) is kInvalidVar. No other node changes (no
+/// folding), so the result has f's shape over the new numbering.
+Formula RenameAtoms(const Formula& f, const std::function<Var(Var)>& rename);
 
 /// Structural equality of formula trees.
 bool StructurallyEqual(const Formula& a, const Formula& b);

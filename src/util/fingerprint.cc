@@ -46,6 +46,20 @@ uint64_t HashPart(char tag, const std::vector<Var>& atoms,
   return h;
 }
 
+uint64_t ClauseHash(const Clause& c, const Vocabulary& voc) {
+  uint64_t h = kFnvOffset;
+  h = h * kFnvPrime + HashPart('H', c.heads(), voc);
+  h = h * kFnvPrime + HashPart('+', c.pos_body(), voc);
+  h = h * kFnvPrime + HashPart('-', c.neg_body(), voc);
+  return Avalanche(h);
+}
+
+/// Fold in the clause count so the empty database is distinguishable and
+/// adding a hash-zero clause (however unlikely) still changes the result.
+uint64_t FinishClauseSum(uint64_t sum, size_t num_clauses) {
+  return Avalanche(sum ^ Avalanche(num_clauses));
+}
+
 }  // namespace
 
 uint64_t FingerprintBytes(std::string_view bytes) {
@@ -53,18 +67,30 @@ uint64_t FingerprintBytes(std::string_view bytes) {
 }
 
 uint64_t DatabaseFingerprint(const Database& db) {
-  const Vocabulary& voc = db.vocabulary();
   uint64_t sum = 0;
   for (const Clause& c : db.clauses()) {
-    uint64_t h = kFnvOffset;
-    h = h * kFnvPrime + HashPart('H', c.heads(), voc);
-    h = h * kFnvPrime + HashPart('+', c.pos_body(), voc);
-    h = h * kFnvPrime + HashPart('-', c.neg_body(), voc);
-    sum += Avalanche(h);  // commutative combine: clause order is irrelevant
+    sum += ClauseHash(c, db.vocabulary());  // commutative: order-free
   }
-  // Fold in the clause count so the empty database is distinguishable and
-  // adding a hash-zero clause (however unlikely) still changes the result.
-  return Avalanche(sum ^ Avalanche(db.clauses().size()));
+  return FinishClauseSum(sum, db.clauses().size());
+}
+
+uint64_t ClauseSubsetFingerprint(const Database& db,
+                                 const std::vector<int>& clause_indices) {
+  uint64_t sum = 0;
+  for (int ci : clause_indices) {
+    sum += ClauseHash(db.clause(ci), db.vocabulary());
+  }
+  return FinishClauseSum(sum, clause_indices.size());
+}
+
+uint64_t AtomOrderFingerprint(const Vocabulary& voc,
+                              const std::vector<Var>& atoms) {
+  uint64_t h = kFnvOffset;
+  for (Var v : atoms) {
+    h = FnvAccumulate(h, voc.Name(v));
+    h = FnvAccumulate(h, std::string_view("\0", 1));  // name separator
+  }
+  return Avalanche(h);
 }
 
 }  // namespace dd

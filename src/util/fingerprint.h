@@ -22,16 +22,34 @@
 
 #include <cstdint>
 #include <string_view>
+#include <vector>
+
+#include "logic/types.h"
 
 namespace dd {
 
 class Database;
+class Vocabulary;
 
 /// FNV-1a over `bytes`, finalized with a splitmix64-style avalanche.
 uint64_t FingerprintBytes(std::string_view bytes);
 
 /// Order-independent fingerprint of `db`'s clause multiset (see above).
 uint64_t DatabaseFingerprint(const Database& db);
+
+/// DatabaseFingerprint(db.SelectClauses(clause_indices)) without building
+/// the sub-database: the fingerprint of a slice's clauses, which equals
+/// that of any renumbered copy of them (names, not Vars, are hashed).
+uint64_t ClauseSubsetFingerprint(const Database& db,
+                                 const std::vector<int>& clause_indices);
+
+/// Digest of the names of `atoms` in the given order. Where the clause
+/// fingerprint ignores numbering, this pins it: two vocabularies give
+/// equal digests for their lists exactly when (up to hash collisions) the
+/// i-th atom of each has the same name, so an interpretation numbered
+/// over one list reads the same atoms over the other.
+uint64_t AtomOrderFingerprint(const Vocabulary& voc,
+                              const std::vector<Var>& atoms);
 
 }  // namespace dd
 

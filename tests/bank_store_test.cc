@@ -2,9 +2,11 @@
 // docs/BATCHING.md).
 //
 // The contracts under test:
-//   * key discipline: MakeKey separates module fingerprint, semantics and
-//     effective enumeration cap — two batches share a bank only when they
-//     would have built the same one;
+//   * key discipline: MakeKey separates module fingerprint, atom order,
+//     semantics and effective enumeration cap — two batches share a bank
+//     only when they would have built the same one over the same
+//     numbering, so reasoners that number a module's atoms differently
+//     never read each other's banks;
 //   * LRU bounding: the store evicts at capacity and SetEpoch drops
 //     everything wholesale on a fingerprint change, like AnswerCache;
 //   * completeness: Insert refuses banks not marked complete (a truncated
@@ -63,12 +65,17 @@ std::shared_ptr<const ModelBank> SampleBank(int n, int num_vars) {
 // ---------------------------------------------------------------------------
 // Unit tests
 
-TEST(BankStoreKey, SeparatesFingerprintKindAndCap) {
+TEST(BankStoreKey, SeparatesFingerprintAtomOrderKindAndCap) {
   const std::string base =
-      ModelBankStore::MakeKey(0xabcu, SemanticsKind::kGcwa, 4096);
-  EXPECT_NE(base, ModelBankStore::MakeKey(0xabdu, SemanticsKind::kGcwa, 4096));
-  EXPECT_NE(base, ModelBankStore::MakeKey(0xabcu, SemanticsKind::kEgcwa, 4096));
-  EXPECT_NE(base, ModelBankStore::MakeKey(0xabcu, SemanticsKind::kGcwa, 4095));
+      ModelBankStore::MakeKey(0xabcu, 0x12u, SemanticsKind::kGcwa, 4096);
+  EXPECT_NE(base,
+            ModelBankStore::MakeKey(0xabdu, 0x12u, SemanticsKind::kGcwa, 4096));
+  EXPECT_NE(base,
+            ModelBankStore::MakeKey(0xabcu, 0x13u, SemanticsKind::kGcwa, 4096));
+  EXPECT_NE(base, ModelBankStore::MakeKey(0xabcu, 0x12u,
+                                          SemanticsKind::kEgcwa, 4096));
+  EXPECT_NE(base,
+            ModelBankStore::MakeKey(0xabcu, 0x12u, SemanticsKind::kGcwa, 4095));
 }
 
 TEST(BankStore, LruEvictionAtCapacity) {
@@ -241,28 +248,68 @@ TEST(BankStoreReuse, TinyCapacityEvictionChurnKeepsAnswers) {
 
 TEST(BankStoreReuse, ExternalStoreSharedAcrossReasoners) {
   // Like a server's sessions: two reasoners over fingerprint-equal
-  // databases share one store; the second never enumerates.
-  Database a = Db("a | b. c :- a. d :- b.");
-  Database b = Db("d :- b. a | b. c :- a.");
+  // databases share one store. They intern the atoms in different orders
+  // (x, y first in b), but each module's atoms keep their relative order,
+  // so the compact module numberings agree and the second reasoner never
+  // enumerates.
+  Database a = Db("a | b. c :- a. d :- b. x | y.");
+  Database b = Db("x | y. a | b. c :- a. d :- b.");
   ModelBankStore shared(8);
   batch::BatchOptions opts;
   opts.use_answer_cache = false;
   opts.bank_store = &shared;
   std::vector<batch::BatchQuery> qs = {
-      {"a", true}, {"not c", true}, {"d", true}};
+      {"a", true}, {"not c", true}, {"d", true}, {"x | y", false}};
   Reasoner ra(a);
   Result<batch::BatchAnswer> first =
       ra.AnswerBatch(SemanticsKind::kGcwa, qs, opts);
   ASSERT_TRUE(first.ok());
-  ASSERT_GT(first->stats.bank_store_insertions, 0);
+  ASSERT_EQ(first->stats.bank_store_insertions, 2);
   Reasoner rb(b);
   Result<batch::BatchAnswer> second =
       rb.AnswerBatch(SemanticsKind::kGcwa, qs, opts);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->answers, first->answers);
-  EXPECT_GT(second->stats.bank_store_hits, 0);
+  EXPECT_EQ(second->stats.bank_store_hits, 2);
   EXPECT_EQ(second->stats.bank_models, 0);
   EXPECT_EQ(shared.stats().invalidations, 0);
+}
+
+TEST(BankStoreReuse, SharedStoreNeverCrossesAtomNumberings) {
+  // Equal fingerprints, different Var numbering: a = 0 in ra but a = 2 in
+  // rb. A bank is a bitset over its builder's numbering, so a store shared
+  // by both must never hand one reasoner's bank to the other under a
+  // different numbering. The literals and "b | c" run in module groups;
+  // "a | ~b" spans both modules and runs as a whole-database group, as
+  // every CWA query does. All must match rb's own sequential answers.
+  const char* kFirst = "a.\nb | c.";
+  const char* kSecond = "b | c.\na.";
+  const std::vector<batch::BatchQuery> qs = {{"a", true},
+                                             {"b | c", false},
+                                             {"not a", true},
+                                             {"a & (b | c)", false},
+                                             {"a | ~b", false}};
+  for (SemanticsKind kind : {SemanticsKind::kEgcwa, SemanticsKind::kCwa,
+                             SemanticsKind::kGcwa, SemanticsKind::kDsm}) {
+    SCOPED_TRACE(SemanticsKindName(kind));
+    ModelBankStore shared(8);
+    batch::BatchOptions opts;
+    opts.use_answer_cache = false;
+    opts.bank_store = &shared;
+    Reasoner ra(Db(kFirst));
+    Reasoner rb(Db(kSecond));
+    ASSERT_EQ(ra.fingerprint(), rb.fingerprint());
+    ASSERT_TRUE(ra.AnswerBatch(kind, qs, opts).ok());
+    ASSERT_GT(shared.size(), 0);
+    Result<batch::BatchAnswer> got = rb.AnswerBatch(kind, qs, opts);
+    ASSERT_TRUE(got.ok());
+    Reasoner ref(Db(kSecond));
+    for (size_t i = 0; i < qs.size(); ++i) {
+      Result<bool> want = ref.InfersFormula(kind, qs[i].text);
+      ASSERT_TRUE(want.ok());
+      EXPECT_EQ(got->answers[i], TrileanFromBool(*want)) << qs[i].text;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

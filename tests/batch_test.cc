@@ -539,12 +539,15 @@ TEST(BatchCounters, SharedCacheAndStoreCountEachBatchsOwnTraffic) {
       // Switch back under a zero oracle budget: kUnknown, refused.
       {&ra, {{"b", true}}, 0, 4096},
       {&rb, {{"q", true}}, -1, 0},
-      // Stores the {a, b} module bank under ra's epoch.
-      {&ra, {{"a", true}}, -1, 4096},
+      // Spans both modules: stores the whole-database bank under ra's
+      // epoch.
+      {&ra, {{"a | c", false}}, -1, 4096},
       {&rb, {{"not q", true}}, -1, 0},
-      // A new atom outgrows the stored bank: a width-floor miss that
-      // keeps the entry (the rebuilt bank refreshes it, no insertion).
-      {&ra, {{"a | z", false}}, -1, 4096},
+      // A new atom outgrows the stored whole-database bank: a width-floor
+      // miss that keeps the entry (the rebuilt bank refreshes it, no
+      // insertion). Module banks have no width floor: they are numbered
+      // over their own atoms, where a new atom reads false.
+      {&ra, {{"a | c | z", false}}, -1, 4096},
       {&rb, {{"p", true}}, -1, 4096},
   };
   for (size_t i = 0; i < steps.size(); ++i) {

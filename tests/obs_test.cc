@@ -355,6 +355,49 @@ TEST(TraceExactness, ReasonerSpanSumsMatchTotalsOnAllSemantics) {
   }
 }
 
+TEST(TraceExactness, BatchSpanCountsGroupEngineWidth) {
+  // Two modules of three atoms each: a module group's engine runs on its
+  // compact sub-database (3 atoms, 4 with a query-only atom), a store hit
+  // runs no engine (0), a whole-database group (CWA) runs on every atom.
+  // The span counter, the BatchStats field and the published metric agree.
+  Database db = testing::Db("a | b. c :- a. x | y. z :- x.");
+  obs::TraceContext trace;
+  Reasoner r(db);
+  r.set_trace(&trace);
+  batch::BatchOptions opts;
+  opts.use_answer_cache = false;
+  batch::BatchOptions no_banks = opts;
+  no_banks.model_bank_cap = 0;
+  struct Step {
+    SemanticsKind kind;
+    std::vector<batch::BatchQuery> qs;
+    const batch::BatchOptions* opts;
+    int64_t want_atoms;
+  };
+  const std::vector<Step> steps = {
+      {SemanticsKind::kGcwa, {{"a", true}, {"y", true}}, &opts, 3 + 3},
+      {SemanticsKind::kGcwa, {{"b", true}, {"not z", true}}, &opts, 0},
+      {SemanticsKind::kGcwa, {{"c | q", false}}, &no_banks, 4},
+      {SemanticsKind::kCwa, {{"a", true}}, &opts, 7},
+  };
+  int64_t total = 0;
+  for (size_t i = 0; i < steps.size(); ++i) {
+    const int64_t before = trace.SumCounter("batch_group_atoms", "reasoner");
+    Result<batch::BatchAnswer> got =
+        r.AnswerBatch(steps[i].kind, steps[i].qs, *steps[i].opts);
+    ASSERT_TRUE(got.ok()) << "step " << i;
+    EXPECT_EQ(got->stats.group_atoms, steps[i].want_atoms) << "step " << i;
+    EXPECT_EQ(trace.SumCounter("batch_group_atoms", "reasoner") - before,
+              steps[i].want_atoms)
+        << "step " << i;
+    total += steps[i].want_atoms;
+  }
+  EXPECT_EQ(r.batch_stats().group_atoms, total);
+  obs::MetricsRegistry reg;
+  r.PublishMetrics(&reg);
+  EXPECT_EQ(reg.Snapshot().Value("dd.batch.group_atoms"), total);
+}
+
 TEST(TraceExactness, EngineLayersNestBelowReasonerSpans) {
   Database db = testing::Db("a | b. c :- a. e | f :- c. d :- b.");
   obs::TraceContext trace;
