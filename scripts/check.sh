@@ -18,7 +18,10 @@
 #      produce on purpose)
 #   8. observability export smoke: ddquery --trace-json/--metrics on a
 #      real example program, both outputs validated through
-#      `python3 -m json.tool` (docs/OBSERVABILITY.md schema contract),
+#      `python3 -m json.tool` (docs/OBSERVABILITY.md schema contract); a
+#      session that interns a fresh atom must publish dd.minimal.sat_calls,
+#      dd.minimal.cegar_iterations and dd.session.cache_hits equal to the
+#      sums of its reasoner spans' counters,
 #      plus a `ddquery --certify` sweep over every example program —
 #      certificate rejections flip the exit code and fail the leg
 #      (docs/ANALYSIS.md section 5)
@@ -173,8 +176,32 @@ if [ -x "$QUERY_BIN" ] && command -v python3 >/dev/null 2>&1; then
         "$QUERY_BIN" --metrics examples/programs/example31.ddb 2>/dev/null \
         | sed -n '/^{"counters"/p' | python3 -m json.tool >/dev/null 2>&1; then
     echo "obs: --metrics JSON does not parse"; FAILED=1
+  # One number on every surface: a session whose fresh atom drops the
+  # cached engines must publish the same totals its reasoner spans sum to.
+  elif ! printf 'lit gcwa not detour\nlit gcwa not fresh_atom\ninfer egcwa detour | shortcut\nquit\n' | \
+        "$QUERY_BIN" --metrics --trace-json="$OBS_TMP/fresh.json" \
+        examples/programs/positive.ddb 2>/dev/null \
+        | sed -n '/^{"counters"/p' >"$OBS_TMP/fresh.metrics" || \
+       ! python3 - "$OBS_TMP/fresh.metrics" "$OBS_TMP/fresh.json" <<'PY'
+import json, sys
+metrics = json.load(open(sys.argv[1]))["counters"]
+spans = [s for s in json.load(open(sys.argv[2]))["spans"]
+         if s["layer"] == "reasoner"]
+bad = 0
+for metric, counter in [("dd.minimal.sat_calls", "oracle_calls"),
+                        ("dd.minimal.cegar_iterations", "cegar_iterations"),
+                        ("dd.session.cache_hits", "cache_hits")]:
+    total = sum(s["counters"].get(counter, 0) for s in spans)
+    if metrics.get(metric) != total:
+        print(f"obs: {metric}={metrics.get(metric)} but reasoner spans "
+              f"sum {counter}={total}")
+        bad = 1
+sys.exit(bad)
+PY
+  then
+    echo "obs: --metrics totals differ from the reasoner-span sums"; FAILED=1
   else
-    echo "obs: OK (trace + metrics JSON validate)"
+    echo "obs: OK (trace + metrics JSON validate; metrics == span sums)"
   fi
   rm -rf "$OBS_TMP"
 else

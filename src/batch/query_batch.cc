@@ -301,8 +301,7 @@ GroupResult EvaluateGroup(const GroupRequest& req) {
     }
   }
 
-  out.stats = engine->stats();
-  out.session_stats = engine->session_stats();
+  engine->ReportNewWork(&out.stats, &out.session_stats);
   return out;
 }
 

@@ -294,6 +294,8 @@ struct GroupRequest {
 struct GroupResult {
   std::vector<Trilean> answers;
   Status error;  ///< first non-budget failure, OK otherwise
+  /// The group engine's report (Semantics::ReportNewWork); zero when no
+  /// engine ran.
   MinimalStats stats;
   oracle::SessionStats session_stats;
   bool used_bank = false;

@@ -13,28 +13,43 @@
 
 namespace dd {
 
-namespace {
-
-/// One "reasoner"-layer span per entry point. The exactness contract
-/// pinned by tests/obs_test.cc — summing `oracle_calls` over these spans
-/// reproduces the legacy TotalStats totals — holds by construction: every
-/// counter below is a TotalStats/TotalSessionStats/DispatchStats delta
-/// across the query.
-class QuerySpan {
+/// One "reasoner"-layer span per entry point. Each counter has one owner:
+/// the dispatch path (Record) and each engine report (Fold) are added to
+/// the span and to the reasoner's running totals in the same step, so the
+/// exactness contract pinned by tests/obs_test.cc — summing a counter over
+/// the reasoner spans reproduces the total — holds by construction, and
+/// holds across InvalidateCaches(). Untraced, the span only folds.
+class Reasoner::QuerySpan {
  public:
-  QuerySpan(obs::TraceContext* t, Reasoner* r, const char* op,
+  QuerySpan(Reasoner* r, obs::TraceContext* t, const char* op,
             SemanticsKind kind)
-      : t_(t), r_(r) {
+      : r_(r), t_(t) {
     if (t_ == nullptr) return;
     id_ = t_->OpenSpan(op, "reasoner");
     t_->SetAttr(id_, "semantics", SemanticsKindName(kind));
-    stats_before_ = r_->TotalStats();
-    sess_before_ = r_->TotalSessionStats();
-    dispatch_before_ = r_->dispatch_stats();
+  }
+
+  void Record(analysis::EnginePath path) {
+    r_->dispatch_stats_.Record(path);
+    dispatch_.Record(path);
+  }
+
+  /// Folds one report: a batch group's, or `engine`'s new work.
+  void Fold(const MinimalStats& s, const oracle::SessionStats& ss) {
+    r_->total_stats_.Add(s);
+    r_->total_session_stats_.Add(ss);
+    stats_.Add(s);
+    session_.Add(ss);
+  }
+  void Fold(Semantics* engine) {
+    MinimalStats s;
+    oracle::SessionStats ss;
+    engine->ReportNewWork(&s, &ss);
+    Fold(s, ss);
   }
 
   /// Budget-consumption attribution: the budget is created fresh for one
-  /// query, so its consumed() totals ARE this query's deltas.
+  /// query, so its consumed() totals ARE this query's.
   std::shared_ptr<Budget> AttachBudget(std::shared_ptr<Budget> b) {
     budget_ = b;
     return b;
@@ -48,31 +63,25 @@ class QuerySpan {
 
   ~QuerySpan() {
     if (t_ == nullptr) return;
-    const MinimalStats s = r_->TotalStats();
-    t_->AddCounter(id_, "oracle_calls", s.sat_calls - stats_before_.sat_calls);
-    t_->AddCounter(id_, "minimizations",
-                   s.minimizations - stats_before_.minimizations);
-    t_->AddCounter(id_, "cegar_iterations",
-                   s.cegar_iterations - stats_before_.cegar_iterations);
-    t_->AddCounter(id_, "models_enumerated",
-                   s.models_enumerated - stats_before_.models_enumerated);
-    const oracle::SessionStats ss = r_->TotalSessionStats();
-    t_->AddCounter(id_, "cache_hits", ss.cache_hits - sess_before_.cache_hits);
-    t_->AddCounter(id_, "cache_misses",
-                   ss.cache_misses - sess_before_.cache_misses);
-    const analysis::DispatchStats& d = r_->dispatch_stats();
-    t_->AddCounter(id_, "dispatch_generic",
-                   d.generic - dispatch_before_.generic);
-    t_->AddCounter(id_, "dispatch_downgrades",
-                   d.Downgrades() - dispatch_before_.Downgrades());
+    t_->AddCounter(id_, "oracle_calls", stats_.sat_calls);
+    t_->AddCounter(id_, "minimizations", stats_.minimizations);
+    t_->AddCounter(id_, "cegar_iterations", stats_.cegar_iterations);
+    t_->AddCounter(id_, "models_enumerated", stats_.models_enumerated);
+    t_->AddCounter(id_, "cache_hits", session_.cache_hits);
+    t_->AddCounter(id_, "cache_misses", session_.cache_misses);
+    t_->AddCounter(id_, "dispatch_generic", dispatch_.generic);
+    t_->AddCounter(id_, "dispatch_downgrades", dispatch_.Downgrades());
     // The structural-path counters append only when the query used one, so
     // span trees of programs that never slice stay byte-identical.
-    const int64_t slice = d.slice_literal - dispatch_before_.slice_literal;
-    const int64_t module = d.module_formula - dispatch_before_.module_formula;
-    const int64_t hcf = d.hcf_unfounded - dispatch_before_.hcf_unfounded;
-    if (slice != 0) t_->AddCounter(id_, "dispatch_slice", slice);
-    if (module != 0) t_->AddCounter(id_, "dispatch_module", module);
-    if (hcf != 0) t_->AddCounter(id_, "dispatch_hcf", hcf);
+    if (dispatch_.slice_literal != 0) {
+      t_->AddCounter(id_, "dispatch_slice", dispatch_.slice_literal);
+    }
+    if (dispatch_.module_formula != 0) {
+      t_->AddCounter(id_, "dispatch_module", dispatch_.module_formula);
+    }
+    if (dispatch_.hcf_unfounded != 0) {
+      t_->AddCounter(id_, "dispatch_hcf", dispatch_.hcf_unfounded);
+    }
     if (budget_ != nullptr) {
       t_->AddCounter(id_, "conflicts_consumed", budget_->conflicts_consumed());
       t_->AddCounter(id_, "oracle_calls_consumed",
@@ -87,16 +96,14 @@ class QuerySpan {
   QuerySpan& operator=(const QuerySpan&) = delete;
 
  private:
-  obs::TraceContext* t_;
   Reasoner* r_;
+  obs::TraceContext* t_;
   int id_ = -1;
-  MinimalStats stats_before_;
-  oracle::SessionStats sess_before_;
-  analysis::DispatchStats dispatch_before_;
+  MinimalStats stats_;
+  oracle::SessionStats session_;
+  analysis::DispatchStats dispatch_;
   std::shared_ptr<Budget> budget_;
 };
-
-}  // namespace
 
 Reasoner::Reasoner(Database db, SemanticsOptions opts)
     : db_(std::move(db)), opts_(opts) {}
@@ -336,7 +343,8 @@ analysis::FastPathEngine* Reasoner::fast_engine() {
   return fast_.get();
 }
 
-Reasoner::Routed Reasoner::RouteLiteral(SemanticsKind kind, Lit l) {
+Reasoner::Routed Reasoner::RouteLiteral(SemanticsKind kind, Lit l,
+                                        QuerySpan* span) {
   Routed rt;
   if (!opts_.analysis_dispatch) {
     rt.engine = Get(kind);
@@ -351,7 +359,7 @@ Reasoner::Routed Reasoner::RouteLiteral(SemanticsKind kind, Lit l) {
   }
   rt.path = analysis::SelectPath(props, kind, analysis::QueryKind::kLiteral, l,
                                  partition_.has_value(), &shape);
-  dispatch_stats_.Record(rt.path);
+  span->Record(rt.path);
   switch (rt.path) {
     case analysis::EnginePath::kSliceLiteral:
       if (certify_) {
@@ -377,7 +385,8 @@ Reasoner::Routed Reasoner::RouteLiteral(SemanticsKind kind, Lit l) {
   }
 }
 
-Reasoner::Routed Reasoner::RouteFormula(SemanticsKind kind, const Formula& f) {
+Reasoner::Routed Reasoner::RouteFormula(SemanticsKind kind, const Formula& f,
+                                        QuerySpan* span) {
   Routed rt;
   if (!opts_.analysis_dispatch) {
     rt.engine = Get(kind);
@@ -400,7 +409,7 @@ Reasoner::Routed Reasoner::RouteFormula(SemanticsKind kind, const Formula& f) {
   rt.path =
       analysis::SelectPath(props, kind, analysis::QueryKind::kFormula, Lit(),
                            partition_.has_value(), &shape);
-  dispatch_stats_.Record(rt.path);
+  span->Record(rt.path);
   switch (rt.path) {
     case analysis::EnginePath::kModuleFormula:
       if (certify_) {
@@ -425,7 +434,8 @@ Reasoner::Routed Reasoner::RouteFormula(SemanticsKind kind, const Formula& f) {
   }
 }
 
-Reasoner::Routed Reasoner::RouteHasModel(SemanticsKind kind) {
+Reasoner::Routed Reasoner::RouteHasModel(SemanticsKind kind,
+                                         QuerySpan* span) {
   Routed rt;
   if (!opts_.analysis_dispatch) {
     rt.engine = Get(kind);
@@ -434,7 +444,7 @@ Reasoner::Routed Reasoner::RouteHasModel(SemanticsKind kind) {
   rt.path = analysis::SelectPath(properties(), kind,
                                  analysis::QueryKind::kHasModel, Lit(),
                                  partition_.has_value());
-  dispatch_stats_.Record(rt.path);
+  span->Record(rt.path);
   if (rt.path == analysis::EnginePath::kGeneric) rt.engine = Get(kind);
   return rt;
 }
@@ -453,12 +463,6 @@ Var Reasoner::InternQueryAtom(const std::string& name) {
   const Var v = voc.Intern(name);
   InvalidateCaches();
   return v;
-}
-
-Result<std::vector<Interpretation>> Reasoner::Models(SemanticsKind kind,
-                                                     int64_t cap) {
-  QuerySpan span(trace_, this, "Models", kind);
-  return Get(kind)->Models(cap);
 }
 
 namespace {
@@ -521,24 +525,6 @@ class ScopedBudget {
   bool installed_ = false;
 };
 
-/// The per-query environment of one engine call: q's trace and a fresh
-/// budget built from q, installed on `s` for the scope and attributed to
-/// `span`. With default QueryOptions both are no-ops.
-class EngineScope {
- public:
-  EngineScope(Semantics* s, const QueryOptions& q,
-              obs::TraceContext* fallback, QuerySpan* span)
-      : traced_(s, q.trace, fallback),
-        budget_(s, span->AttachBudget(MakeBudget(
-                           {q.deadline_ms, q.conflict_budget,
-                            q.oracle_call_budget},
-                           q.cancel))) {}
-
- private:
-  ScopedTrace traced_;
-  ScopedBudget budget_;
-};
-
 /// Budget exhaustion degrades to kUnknown; every other Status propagates.
 Result<Trilean> ToTrilean(const Result<bool>& r) {
   if (r.ok()) return TrileanFromBool(*r);
@@ -548,6 +534,40 @@ Result<Trilean> ToTrilean(const Result<bool>& r) {
 
 }  // namespace
 
+/// The per-query environment of one engine call: q's trace and a fresh
+/// budget built from q, installed on `s` for the scope and attributed to
+/// `span`, which takes the engine's report when the scope closes. With
+/// default QueryOptions only the report remains.
+class Reasoner::EngineScope {
+ public:
+  EngineScope(Semantics* s, const QueryOptions& q,
+              obs::TraceContext* fallback, QuerySpan* span)
+      : s_(s),
+        span_(span),
+        traced_(s, q.trace, fallback),
+        budget_(s, span->AttachBudget(MakeBudget(
+                       {q.deadline_ms, q.conflict_budget,
+                        q.oracle_call_budget},
+                       q.cancel))) {}
+  ~EngineScope() { span_->Fold(s_); }
+  EngineScope(const EngineScope&) = delete;
+  EngineScope& operator=(const EngineScope&) = delete;
+
+ private:
+  Semantics* s_;
+  QuerySpan* span_;
+  ScopedTrace traced_;
+  ScopedBudget budget_;
+};
+
+Result<std::vector<Interpretation>> Reasoner::Models(SemanticsKind kind,
+                                                     int64_t cap) {
+  QuerySpan span(this, trace_, "Models", kind);
+  Semantics* s = Get(kind);
+  EngineScope scope(s, QueryOptions{}, trace_, &span);
+  return s->Models(cap);
+}
+
 Result<bool> Reasoner::LiteralQuery(SemanticsKind kind,
                                     std::string_view literal,
                                     const QueryOptions& q) {
@@ -556,9 +576,9 @@ Result<bool> Reasoner::LiteralQuery(SemanticsKind kind,
   int before = db_.num_vars();
   DD_ASSIGN_OR_RETURN(Lit l, ParseLiteral(literal, &db_.vocabulary()));
   if (db_.num_vars() != before) InvalidateCaches();
-  QuerySpan span(q.trace != nullptr ? q.trace : trace_, this, "InfersLiteral",
+  QuerySpan span(this, q.trace != nullptr ? q.trace : trace_, "InfersLiteral",
                  kind);
-  Routed rt = RouteLiteral(kind, l);
+  Routed rt = RouteLiteral(kind, l, &span);
   // Polynomial fast path: completes without oracle calls, so the budget is
   // irrelevant and the exact answer stands.
   if (rt.engine == nullptr) return fast_engine()->InfersLiteral(rt.path, l);
@@ -572,9 +592,9 @@ Result<bool> Reasoner::FormulaQuery(SemanticsKind kind,
                                     std::string_view formula,
                                     const QueryOptions& q) {
   DD_ASSIGN_OR_RETURN(Formula f, ParseQueryFormula(formula));
-  QuerySpan span(q.trace != nullptr ? q.trace : trace_, this, "InfersFormula",
+  QuerySpan span(this, q.trace != nullptr ? q.trace : trace_, "InfersFormula",
                  kind);
-  Routed rt = RouteFormula(kind, f);
+  Routed rt = RouteFormula(kind, f, &span);
   if (rt.engine == nullptr) return fast_engine()->InfersFormula(rt.path, f);
   EngineScope scope(rt.engine, q, trace_, &span);
   Result<bool> r = rt.engine->InfersFormula(rt.Local(f));
@@ -584,9 +604,9 @@ Result<bool> Reasoner::FormulaQuery(SemanticsKind kind,
 
 Result<bool> Reasoner::HasModelQuery(SemanticsKind kind,
                                      const QueryOptions& q) {
-  QuerySpan span(q.trace != nullptr ? q.trace : trace_, this, "HasModel",
+  QuerySpan span(this, q.trace != nullptr ? q.trace : trace_, "HasModel",
                  kind);
-  Routed rt = RouteHasModel(kind);
+  Routed rt = RouteHasModel(kind, &span);
   if (rt.engine == nullptr) return fast_engine()->HasModel(rt.path);
   EngineScope scope(rt.engine, q, trace_, &span);
   Result<bool> r = rt.engine->HasModel();
@@ -626,7 +646,7 @@ Result<Trilean> Reasoner::HasModel(SemanticsKind kind, const QueryOptions& q) {
 
 Result<ModelsAnswer> Reasoner::Models(SemanticsKind kind, int64_t cap,
                                       const QueryOptions& q) {
-  QuerySpan span(q.trace != nullptr ? q.trace : trace_, this, "Models", kind);
+  QuerySpan span(this, q.trace != nullptr ? q.trace : trace_, "Models", kind);
   Semantics* s = Get(kind);
   EngineScope scope(s, q, trace_, &span);
   Result<std::vector<Interpretation>> r = s->Models(cap);
@@ -650,7 +670,7 @@ Result<Trilean> Reasoner::InfersCredulously(SemanticsKind kind,
                                             std::string_view formula,
                                             const QueryOptions& q) {
   DD_ASSIGN_OR_RETURN(Formula f, ParseQueryFormula(formula));
-  QuerySpan span(q.trace != nullptr ? q.trace : trace_, this,
+  QuerySpan span(this, q.trace != nullptr ? q.trace : trace_,
                  "InfersCredulously", kind);
   Semantics* s = Get(kind);
   EngineScope scope(s, q, trace_, &span);
@@ -660,7 +680,7 @@ Result<Trilean> Reasoner::InfersCredulously(SemanticsKind kind,
 Result<std::optional<Interpretation>> Reasoner::FindCounterexample(
     SemanticsKind kind, std::string_view formula, const QueryOptions& q) {
   DD_ASSIGN_OR_RETURN(Formula f, ParseQueryFormula(formula));
-  QuerySpan span(q.trace != nullptr ? q.trace : trace_, this,
+  QuerySpan span(this, q.trace != nullptr ? q.trace : trace_,
                  "FindCounterexample", kind);
   Semantics* s = Get(kind);
   EngineScope scope(s, q, trace_, &span);
@@ -721,7 +741,7 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
   }
   if (db_.num_vars() != vars_before) InvalidateCaches();
 
-  QuerySpan span(bopts.trace != nullptr ? bopts.trace : trace_, this,
+  QuerySpan span(this, bopts.trace != nullptr ? bopts.trace : trace_,
                  brave ? "AnswerBatchCredulous" : "AnswerBatch", kind);
   batch::BatchStats bs;
   bs.queries = static_cast<int64_t>(queries.size());
@@ -935,14 +955,13 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
   ParallelFor(static_cast<int64_t>(plan.size()), threads, cancel,
               [&](int64_t g) { results[g] = batch::EvaluateGroup(requests[g]); });
 
-  // Merge in plan order (deterministic in the thread count). Group-engine
-  // oracle work folds into the reasoner-owned accumulators BEFORE the
-  // batch span closes, preserving the span-sum == TotalStats contract.
+  // Merge in plan order (deterministic in the thread count). Each group
+  // engine's report folds into the span and the totals, as a single
+  // query's engine report does.
   Status first_error;
   for (size_t g = 0; g < plan.size(); ++g) {
     const batch::GroupResult& res = results[g];
-    batch_engine_stats_.Add(res.stats);
-    batch_engine_session_stats_.Add(res.session_stats);
+    span.Fold(res.stats, res.session_stats);
     if (!res.error.ok() && first_error.ok()) first_error = res.error;
     const bool evaluated =
         res.answers.size() == plan[g].query_indices.size();
@@ -1034,38 +1053,6 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
 
   batch_total_.Add(bs);
   out.stats = bs;
-  return out;
-}
-
-MinimalStats Reasoner::TotalStats() const {
-  MinimalStats out;
-  for (const auto& [kind, engine] : engines_) {
-    out.Add(engine->stats());
-  }
-  for (const auto& [kind, engine] : hcf_engines_) {
-    out.Add(engine->stats());
-  }
-  for (const auto& [key, cs] : compact_slices_) {
-    for (const auto& [kind, engine] : cs.engines) out.Add(engine->stats());
-  }
-  out.Add(batch_engine_stats_);
-  return out;
-}
-
-oracle::SessionStats Reasoner::TotalSessionStats() const {
-  oracle::SessionStats out;
-  for (const auto& [kind, engine] : engines_) {
-    out.Add(engine->session_stats());
-  }
-  for (const auto& [kind, engine] : hcf_engines_) {
-    out.Add(engine->session_stats());
-  }
-  for (const auto& [key, cs] : compact_slices_) {
-    for (const auto& [kind, engine] : cs.engines) {
-      out.Add(engine->session_stats());
-    }
-  }
-  out.Add(batch_engine_session_stats_);
   return out;
 }
 

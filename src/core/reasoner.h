@@ -212,12 +212,16 @@ class Reasoner {
     return partition_.has_value() ? &*partition_ : nullptr;
   }
 
-  /// Aggregated oracle counters over all engines used so far.
-  MinimalStats TotalStats() const;
+  /// Running oracle totals: the sum of every engine report the entry
+  /// points have folded so far, including the work of engines since
+  /// dropped by InvalidateCaches(), SetPartition or EnableCertification.
+  MinimalStats TotalStats() const { return total_stats_; }
 
-  /// Aggregated session-reuse counters over all engines used so far (all
-  /// zero in fresh-solver mode).
-  oracle::SessionStats TotalSessionStats() const;
+  /// Running session-reuse totals, kept the same way (all zero in
+  /// fresh-solver mode).
+  oracle::SessionStats TotalSessionStats() const {
+    return total_session_stats_;
+  }
 
   /// Attaches (nullptr detaches) a trace to this reasoner and every engine
   /// it has created or will create: each entry point then records one
@@ -316,12 +320,20 @@ class Reasoner {
   /// lifetime (query atoms are interned after it).
   uint64_t whole_atom_order();
 
+  /// The "reasoner"-layer span of one entry point, and the one place its
+  /// dispatch decision and engine reports join the running totals; the
+  /// per-query trace and budget installer of one engine call (both
+  /// defined in reasoner.cc).
+  class QuerySpan;
+  class EngineScope;
+
   /// Routing front half shared by the literal/formula entry points:
-  /// computes the query shape, records dispatch stats, emits the slice
-  /// certificate in certify mode, and picks the executing engine.
-  Routed RouteLiteral(SemanticsKind kind, Lit l);
-  Routed RouteFormula(SemanticsKind kind, const Formula& f);
-  Routed RouteHasModel(SemanticsKind kind);
+  /// computes the query shape, records the dispatch path on `span`, emits
+  /// the slice certificate in certify mode, and picks the executing
+  /// engine.
+  Routed RouteLiteral(SemanticsKind kind, Lit l, QuerySpan* span);
+  Routed RouteFormula(SemanticsKind kind, const Formula& f, QuerySpan* span);
+  Routed RouteHasModel(SemanticsKind kind, QuerySpan* span);
 
   /// The one body of each decision entry point: the bool overloads run it
   /// with default QueryOptions (no budget, the reasoner trace), the
@@ -360,18 +372,14 @@ class Reasoner {
   std::unique_ptr<analysis::FastPathEngine> fast_;
   std::unique_ptr<analysis::Slicer> slicer_;
   analysis::DispatchStats dispatch_stats_;
+  MinimalStats total_stats_;
+  oracle::SessionStats total_session_stats_;
 
   std::optional<uint64_t> fingerprint_;
   std::optional<uint64_t> whole_atom_order_;
   std::optional<ground::TupleIndex> mention_index_;
   std::unique_ptr<batch::AnswerCache> answer_cache_;
   std::unique_ptr<batch::ModelBankStore> bank_store_;
-  /// Oracle work done by batch group engines (they are per-group
-  /// temporaries, so their counters are folded in here before each batch's
-  /// QuerySpan closes — preserving the obs exactness contract) and the
-  /// batch pipeline's own counters.
-  MinimalStats batch_engine_stats_;
-  oracle::SessionStats batch_engine_session_stats_;
   batch::BatchStats batch_total_;
 
   bool certify_ = false;

@@ -68,6 +68,13 @@ struct MinimalStats {
     models_enumerated += o.models_enumerated;
     hcf_checks += o.hcf_checks;
   }
+  void Sub(const MinimalStats& o) {
+    sat_calls -= o.sat_calls;
+    minimizations -= o.minimizations;
+    cegar_iterations -= o.cegar_iterations;
+    models_enumerated -= o.models_enumerated;
+    hcf_checks -= o.hcf_checks;
+  }
 };
 
 /// Engine-level tuning.

@@ -13,8 +13,8 @@
 //     of JSON export (WriteJson / ToJsonString) consumed by ddquery
 //     --metrics, the bench harnesses' BENCH_*.json rows, and the tests;
 //   * the legacy structs remain the hot-path increment mechanism and are
-//     published into a registry via src/obs/stats_view.h, which also
-//     reconstructs them as thin views over a snapshot.
+//     published into a registry via src/obs/stats_view.h (a one-way
+//     export: nothing reads the structs back from a snapshot).
 //
 // Counter naming scheme (see docs/OBSERVABILITY.md):
 //   dd.<layer>.<counter>, e.g. dd.minimal.sat_calls, dd.session.cache_hits,

@@ -4,7 +4,7 @@
 //
 //   Reasoner ("reasoner")  — one `query` span per entry point, carrying the
 //     dispatch decision, the oracle-call totals the query consumed (the
-//     legacy MinimalStats delta), and budget-consumption attribution;
+//     engine reports the query folded), and budget-consumption attribution;
 //   semantics engine ("semantics") — the generic engine invocation;
 //   MinimalEngine / uminsat / QBF-CEGAR ("minimal" / "qbf") — one span per
 //     top-level oracle-backed operation (MinimalEntails, FreeAtoms,
@@ -18,7 +18,7 @@
 // cache_hits, dispatch downgrades, budget consumption) and string
 // attributes (semantics, task, dispatch path, status). The exactness
 // contract pinned by tests/obs_test.cc: summing `oracle_calls` over
-// "reasoner"-layer spans reproduces the legacy MinimalStats totals.
+// "reasoner"-layer spans reproduces Reasoner::TotalStats().
 //
 // Parenting is inferred from a per-thread stack of open spans, so layers
 // need no plumbing beyond opening/closing their own span; spans opened on

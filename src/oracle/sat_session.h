@@ -65,6 +65,18 @@ struct SessionStats {
     projections_discovered += o.projections_discovered;
     cache_evictions += o.cache_evictions;
   }
+  void Sub(const SessionStats& o) {
+    base_loads -= o.base_loads;
+    solves -= o.solves;
+    contexts_opened -= o.contexts_opened;
+    contexts_retired -= o.contexts_retired;
+    guarded_clauses -= o.guarded_clauses;
+    cache_hits -= o.cache_hits;
+    cache_misses -= o.cache_misses;
+    projections_replayed -= o.projections_replayed;
+    projections_discovered -= o.projections_discovered;
+    cache_evictions -= o.cache_evictions;
+  }
 };
 
 /// One persistent incremental solver bound to one Database.

@@ -7,15 +7,6 @@
 
 namespace dd {
 
-ClosedWorldSemantics::ClosedWorldSemantics(const Database& db,
-                                           const SemanticsOptions& opts)
-    : db_(db), opts_(opts), engine_(db, opts.minimal_options()) {}
-
-void ClosedWorldSemantics::SetBudget(std::shared_ptr<Budget> budget) {
-  opts_.budget = budget;
-  engine_.SetBudget(std::move(budget));
-}
-
 Result<Interpretation> ClosedWorldSemantics::NegatedAtoms() {
   if (!negs_.has_value()) {
     DD_ASSIGN_OR_RETURN(Interpretation n, ComputeNegatedAtoms());

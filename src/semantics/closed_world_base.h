@@ -15,7 +15,7 @@ namespace dd {
 /// Base class: models(DB ∪ {¬x : x ∈ NegatedAtoms()}).
 class ClosedWorldSemantics : public Semantics {
  public:
-  ClosedWorldSemantics(const Database& db, const SemanticsOptions& opts);
+  using Semantics::Semantics;
 
   /// The augmentation set N (cached after the first successful
   /// computation). Can fail for semantics whose N-computation is resource
@@ -35,35 +35,11 @@ class ClosedWorldSemantics : public Semantics {
   Result<std::optional<Interpretation>> FindCounterexample(
       const Formula& f) override;
 
-  const MinimalStats& stats() const override { return engine_.stats(); }
-
-  /// Installs the budget on the options (inherited by helper solvers built
-  /// from options()) and on the owned engine; clears latched interrupts.
-  /// The cached augmentation set N survives — it is only ever cached after
-  /// a *successful* (uninterrupted) computation, so it stays sound.
-  void SetBudget(std::shared_ptr<Budget> budget) override;
-
-  /// Attaches the query trace to the owned engine.
-  void SetTrace(obs::TraceContext* trace) override { engine_.SetTrace(trace); }
-
-  /// Session-reuse accounting of the underlying engine (all zero in
-  /// fresh-solver mode). The benches report cache_hits from here.
-  oracle::SessionStats session_stats() const override {
-    return engine_.session_stats();
-  }
-
  protected:
   /// Computes the set of atoms x whose ¬x joins the database.
   virtual Result<Interpretation> ComputeNegatedAtoms() = 0;
 
-  const Database& db() const { return db_; }
-  const SemanticsOptions& options() const { return opts_; }
-  MinimalEngine* engine() { return &engine_; }
-
  private:
-  Database db_;
-  SemanticsOptions opts_;
-  MinimalEngine engine_;
   std::optional<Interpretation> negs_;
 };
 

@@ -11,10 +11,10 @@ Result<Interpretation> CwaSemantics::ComputeNegatedAtoms() {
   // ¬x joins CWA(DB) iff DB |≠ x, i.e. DB ∧ ¬x is satisfiable (or DB
   // itself is unsatisfiable, in which case everything is entailed and
   // nothing is negated — CWA(DB) is then inconsistent anyway).
-  const Database& database = db();
+  const Database& database = db_;
   Interpretation negs(database.num_vars());
   sat::Solver s;
-  s.SetBudget(options().budget);
+  s.SetBudget(opts_.budget);
   s.EnsureVars(database.num_vars());
   for (const auto& cl : database.ToCnf()) s.AddClause(cl);
   for (Var v = 0; v < database.num_vars(); ++v) {
@@ -24,8 +24,8 @@ Result<Interpretation> CwaSemantics::ComputeNegatedAtoms() {
       // augmentation set and change downstream answers.
       MinimalStats ms;
       ms.sat_calls = s.stats().solve_calls;
-      engine()->AbsorbStats(ms);
-      return BudgetOrUnknownStatus(options().budget,
+      engine_.AbsorbStats(ms);
+      return BudgetOrUnknownStatus(opts_.budget,
                                    "CWA augmentation oracle unknown");
     }
     if (r == sat::SolveResult::kSat) {
@@ -34,7 +34,7 @@ Result<Interpretation> CwaSemantics::ComputeNegatedAtoms() {
   }
   MinimalStats ms;
   ms.sat_calls = s.stats().solve_calls;
-  engine()->AbsorbStats(ms);
+  engine_.AbsorbStats(ms);
   return negs;
 }
 

@@ -21,7 +21,7 @@ Status DdrSemantics::CheckDeductive() const {
 Result<Interpretation> DdrSemantics::FixpointAtoms() {
   DD_RETURN_IF_ERROR(CheckDeductive());
   if (!fixpoint_.has_value()) {
-    DD_ASSIGN_OR_RETURN(Interpretation fix, DerivableAtoms(db()));
+    DD_ASSIGN_OR_RETURN(Interpretation fix, DerivableAtoms(db_));
     fixpoint_ = std::move(fix);
   }
   return *fixpoint_;
@@ -54,9 +54,9 @@ Result<bool> DdrSemantics::HasModel() {
 
 Result<Interpretation> DdrSemantics::ComputeNegatedAtoms() {
   DD_RETURN_IF_ERROR(CheckDeductive());
-  Interpretation fix = DefiniteLeastModel(db());
-  Interpretation negs(db().num_vars());
-  for (Var v = 0; v < db().num_vars(); ++v) {
+  Interpretation fix = DefiniteLeastModel(db_);
+  Interpretation negs(db_.num_vars());
+  for (Var v = 0; v < db_.num_vars(); ++v) {
     if (!fix.Contains(v)) negs.Insert(v);
   }
   return negs;

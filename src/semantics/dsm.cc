@@ -6,15 +6,7 @@
 namespace dd {
 
 DsmSemantics::DsmSemantics(const Database& db, const SemanticsOptions& opts)
-    : db_(db),
-      opts_(opts),
-      engine_(db, opts.minimal_options()),
-      all_(Partition::MinimizeAll(db.num_vars())) {}
-
-void DsmSemantics::SetBudget(std::shared_ptr<Budget> budget) {
-  opts_.budget = budget;
-  engine_.SetBudget(std::move(budget));
-}
+    : Semantics(db, opts), all_(Partition::MinimizeAll(db.num_vars())) {}
 
 Result<bool> DsmSemantics::IsStable(const Interpretation& m) {
   if (!db_.Satisfies(m)) return false;

@@ -45,29 +45,10 @@ class DsmSemantics : public Semantics {
   /// otherwise (the Σ₂ᵖ-complete entry).
   Result<bool> HasModel() override;
 
-  const MinimalStats& stats() const override { return engine_.stats(); }
-
-  /// Installs the budget on the owned engine and the options (reduct
-  /// engines and the support-pruned candidate solver are budgeted from the
-  /// options).
-  void SetBudget(std::shared_ptr<Budget> budget) override;
-
-  /// Attaches the query trace to the owned engine (reduct engines run
-  /// untraced; their counters fold into stats()).
-  void SetTrace(obs::TraceContext* trace) override { engine_.SetTrace(trace); }
-
-  /// Session-reuse accounting of the owned engine.
-  oracle::SessionStats session_stats() const override {
-    return engine_.session_stats();
-  }
-
  private:
   /// Runs `visit` over stable models until it returns false.
   Status ForEachStable(const std::function<bool(const Interpretation&)>& visit);
 
-  Database db_;
-  SemanticsOptions opts_;
-  MinimalEngine engine_;
   Partition all_;
   bool support_pruning_ = true;
 };

@@ -7,17 +7,9 @@ namespace dd {
 
 EcwaSemantics::EcwaSemantics(const Database& db, Partition pqz,
                              const SemanticsOptions& opts)
-    : db_(db),
-      opts_(opts),
-      engine_(db, opts.minimal_options()),
-      pqz_(std::move(pqz)) {
+    : Semantics(db, opts), pqz_(std::move(pqz)) {
   DD_CHECK(pqz_.Validate().ok());
   DD_CHECK(pqz_.num_vars() == db.num_vars());
-}
-
-void EcwaSemantics::SetBudget(std::shared_ptr<Budget> budget) {
-  opts_.budget = budget;
-  engine_.SetBudget(std::move(budget));
 }
 
 Result<bool> EcwaSemantics::InfersFormula(const Formula& f) {

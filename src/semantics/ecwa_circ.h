@@ -50,23 +50,7 @@ class EcwaSemantics : public Semantics {
   std::vector<bool> AreCircumscriptionModels(
       const std::vector<Interpretation>& candidates);
 
-  const MinimalStats& stats() const override { return engine_.stats(); }
-
-  /// Installs the budget on the owned engine; clears latched interrupts.
-  void SetBudget(std::shared_ptr<Budget> budget) override;
-
-  /// Attaches the query trace to the owned engine.
-  void SetTrace(obs::TraceContext* trace) override { engine_.SetTrace(trace); }
-
-  /// Session-reuse accounting of the owned engine.
-  oracle::SessionStats session_stats() const override {
-    return engine_.session_stats();
-  }
-
  private:
-  Database db_;
-  SemanticsOptions opts_;
-  MinimalEngine engine_;
   Partition pqz_;
 };
 

@@ -10,16 +10,9 @@ namespace dd {
 
 EgcwaSemantics::EgcwaSemantics(const Database& db,
                                const SemanticsOptions& opts)
-    : db_(db),
-      opts_(opts),
-      engine_(db, opts.minimal_options()),
+    : Semantics(db, opts),
       all_(Partition::MinimizeAll(db.num_vars())),
       positive_(db.IsPositive()) {}
-
-void EgcwaSemantics::SetBudget(std::shared_ptr<Budget> budget) {
-  opts_.budget = budget;
-  engine_.SetBudget(std::move(budget));
-}
 
 Result<bool> EgcwaSemantics::InfersFormula(const Formula& f) {
   bool entails = engine_.MinimalEntails(f, all_);

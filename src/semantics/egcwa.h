@@ -54,26 +54,7 @@ class EgcwaSemantics : public Semantics {
   Result<std::vector<std::vector<Var>>> EntailedNegativeClauses(
       int max_size);
 
-  const MinimalStats& stats() const override { return engine_.stats(); }
-
-  /// Installs the budget on the owned engine (and on the options, so any
-  /// helper machinery derived from them inherits it); clears latched
-  /// interrupts from a previous budgeted query.
-  void SetBudget(std::shared_ptr<Budget> budget) override;
-
-  /// Attaches the query trace to the owned engine.
-  void SetTrace(obs::TraceContext* trace) override { engine_.SetTrace(trace); }
-
-  /// Session-reuse accounting of the underlying engine (all zero in
-  /// fresh-solver mode). The benches report cache_hits from here.
-  oracle::SessionStats session_stats() const override {
-    return engine_.session_stats();
-  }
-
  private:
-  Database db_;
-  SemanticsOptions opts_;
-  MinimalEngine engine_;
   Partition all_;
   /// Classified once at construction; HasModel() consults it per call.
   bool positive_;

@@ -12,17 +12,11 @@ using sat::Solver;
 }  // namespace
 
 IcwaSemantics::IcwaSemantics(const Database& db, const SemanticsOptions& opts)
-    : db_(db),
-      opts_(opts),
-      positivized_(db.Positivize()),
-      engine_(positivized_, opts.minimal_options()) {}
+    : Semantics(db, opts, db.Positivize()) {}
 
 IcwaSemantics::IcwaSemantics(const Database& db, Stratification strat,
                              const SemanticsOptions& opts)
-    : db_(db),
-      opts_(opts),
-      positivized_(db.Positivize()),
-      engine_(positivized_, opts.minimal_options()),
+    : Semantics(db, opts, db.Positivize()),
       strat_(std::move(strat)),
       strat_provided_(true) {}
 
@@ -54,14 +48,9 @@ Status IcwaSemantics::EnsureStratified() {
   return Status::OK();
 }
 
-void IcwaSemantics::SetBudget(std::shared_ptr<Budget> budget) {
-  opts_.budget = budget;
-  engine_.SetBudget(std::move(budget));
-}
-
 Result<bool> IcwaSemantics::IsIcwaModel(const Interpretation& m) {
   DD_RETURN_IF_ERROR(EnsureStratified());
-  if (!positivized_.Satisfies(m)) return false;
+  if (!positivized().Satisfies(m)) return false;
   for (const Partition& p : stratum_partitions_) {
     bool minimal = engine_.IsMinimal(m, p);
     if (engine_.interrupted()) return engine_.interrupt_status();
@@ -75,9 +64,9 @@ Result<bool> IcwaSemantics::InfersFormula(const Formula& f) {
   // Counterexample-guided search for an ICWA model violating F.
   Solver s;
   s.SetBudget(opts_.budget);
-  s.EnsureVars(positivized_.num_vars());
-  for (const auto& cl : positivized_.ToCnf()) s.AddClause(cl);
-  Var next = static_cast<Var>(positivized_.num_vars());
+  s.EnsureVars(positivized().num_vars());
+  for (const auto& cl : positivized().ToCnf()) s.AddClause(cl);
+  Var next = static_cast<Var>(positivized().num_vars());
   std::vector<std::vector<Lit>> fcnf;
   Lit fl = TseitinEncode(f, &next, &fcnf);
   s.EnsureVars(next);
@@ -98,7 +87,7 @@ Result<bool> IcwaSemantics::InfersFormula(const Formula& f) {
                                    "ICWA candidate oracle unknown");
     }
     if (r != SolveResult::kSat) return true;
-    Interpretation m = s.Model(positivized_.num_vars());
+    Interpretation m = s.Model(positivized().num_vars());
 
     int failing = -1;
     for (size_t i = 0; i < stratum_partitions_.size(); ++i) {
@@ -128,7 +117,7 @@ Result<bool> IcwaSemantics::InfersFormula(const Formula& f) {
       probe.AddUnit(~pl);
     }
     std::vector<Lit> proj;
-    for (Var v = 0; v < positivized_.num_vars(); ++v) {
+    for (Var v = 0; v < positivized().num_vars(); ++v) {
       if (pi.p.Contains(v) || pi.q.Contains(v)) {
         proj.push_back(Lit::Make(v, mm.Contains(v)));
       }
@@ -142,14 +131,14 @@ Result<bool> IcwaSemantics::InfersFormula(const Formula& f) {
     if (pr == SolveResult::kSat) {
       // Inconclusive region: exclude exactly m and keep searching.
       std::vector<Lit> block;
-      for (Var v = 0; v < positivized_.num_vars(); ++v) {
+      for (Var v = 0; v < positivized().num_vars(); ++v) {
         block.push_back(m.Contains(v) ? Lit::Neg(v) : Lit::Pos(v));
       }
       s.AddClause(std::move(block));
     } else {
       // Block the whole region {P_i ⊇ mm∩P_i, Q_i = mm∩Q_i}.
       std::vector<Lit> block;
-      for (Var v = 0; v < positivized_.num_vars(); ++v) {
+      for (Var v = 0; v < positivized().num_vars(); ++v) {
         if (pi.p.Contains(v) && mm.Contains(v)) block.push_back(Lit::Neg(v));
         if (pi.q.Contains(v)) {
           block.push_back(mm.Contains(v) ? Lit::Neg(v) : Lit::Pos(v));

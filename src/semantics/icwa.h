@@ -51,27 +51,11 @@ class IcwaSemantics : public Semantics {
 
   Result<std::vector<Interpretation>> Models(int64_t cap = -1) override;
 
-  const MinimalStats& stats() const override { return engine_.stats(); }
-
-  /// Installs the budget on the owned engine and the options (the CEGAR
-  /// loop's dedicated solver is budgeted from the options).
-  void SetBudget(std::shared_ptr<Budget> budget) override;
-
-  /// Attaches the query trace to the owned engine.
-  void SetTrace(obs::TraceContext* trace) override { engine_.SetTrace(trace); }
-
-  /// Session-reuse accounting of the owned engine.
-  oracle::SessionStats session_stats() const override {
-    return engine_.session_stats();
-  }
-
  private:
   Status EnsureStratified();
+  /// The positivized database DB+, which the owned engine reasons over.
+  const Database& positivized() const { return engine_.db(); }
 
-  Database db_;
-  SemanticsOptions opts_;
-  Database positivized_;
-  MinimalEngine engine_;  ///< over the positivized database
   std::optional<Stratification> strat_;
   bool strat_provided_ = false;
   std::vector<Partition> stratum_partitions_;

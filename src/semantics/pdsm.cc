@@ -8,9 +8,9 @@ namespace dd {
 
 namespace {
 
-// Builds the bit-level vocabulary: t-bits share the source ids [0,n),
-// nf-bits live at [n, 2n).
-Vocabulary MakeBitVocabulary(const Database& db) {
+// Builds the two-bit encoding of the 3-valued models of `db`: t-bits
+// share the source ids [0,n), nf-bits live at [n, 2n).
+Database MakeBitDatabase(const Database& db) {
   Vocabulary voc;
   for (Var v = 0; v < db.num_vars(); ++v) {
     voc.Intern("t(" + db.vocabulary().Name(v) + ")");
@@ -18,29 +18,20 @@ Vocabulary MakeBitVocabulary(const Database& db) {
   for (Var v = 0; v < db.num_vars(); ++v) {
     voc.Intern("nf(" + db.vocabulary().Name(v) + ")");
   }
-  return voc;
-}
-
-}  // namespace
-
-PdsmSemantics::PdsmSemantics(const Database& db, const SemanticsOptions& opts)
-    : db_(db),
-      opts_(opts),
-      bit_db_(MakeBitVocabulary(db)),
-      engine_(bit_db_, opts.minimal_options()) {
-  const Var n = db_.num_vars();
+  Database bits(std::move(voc));
+  const Var n = db.num_vars();
   auto t = [](Var v) { return v; };
   auto nf = [n](Var v) { return n + v; };
 
   // Consistency: t(v) -> nf(v).
   for (Var v = 0; v < n; ++v) {
-    bit_db_.AddClause(Clause({nf(v)}, {t(v)}, {}));
+    bits.AddClause(Clause({nf(v)}, {t(v)}, {}));
   }
   // Per source clause (heads a, pos body b, neg body c), 3-valued
   // satisfaction value(head) >= value(body) splits into two implications:
   //   body >= 1/2  ->  head >= 1/2 :   ∨ nf(a) ∨ ¬nf(b)... ∨ t(c)...
   //   body  = 1    ->  head  = 1   :   ∨ t(a)  ∨ ¬t(b)...  ∨ nf(c)...
-  for (const Clause& c : db_.clauses()) {
+  for (const Clause& c : db.clauses()) {
     std::vector<Var> heads_a, heads_b, body_a, body_b;
     for (Var a : c.heads()) {
       heads_a.push_back(nf(a));
@@ -55,11 +46,16 @@ PdsmSemantics::PdsmSemantics(const Database& db, const SemanticsOptions& opts)
       heads_a.push_back(t(neg));
       heads_b.push_back(nf(neg));
     }
-    bit_db_.AddClause(Clause(std::move(heads_a), std::move(body_a), {}));
-    bit_db_.AddClause(Clause(std::move(heads_b), std::move(body_b), {}));
+    bits.AddClause(Clause(std::move(heads_a), std::move(body_a), {}));
+    bits.AddClause(Clause(std::move(heads_b), std::move(body_b), {}));
   }
-  engine_ = MinimalEngine(bit_db_, opts_.minimal_options());
+  return bits;
 }
+
+}  // namespace
+
+PdsmSemantics::PdsmSemantics(const Database& db, const SemanticsOptions& opts)
+    : Semantics(db, opts, MakeBitDatabase(db)) {}
 
 PartialInterpretation PdsmSemantics::DecodeBits(
     const Interpretation& bits) const {
@@ -88,7 +84,7 @@ Database PdsmSemantics::BuildReductBitDb(const PartialInterpretation& i) const {
   const Var n = db_.num_vars();
   auto t = [](Var v) { return v; };
   auto nf = [n](Var v) { return n + v; };
-  Database out(bit_db_.vocabulary());
+  Database out(bit_database().vocabulary());
   for (Var v = 0; v < n; ++v) {
     out.AddClause(Clause({nf(v)}, {t(v)}, {}));
   }
@@ -113,11 +109,6 @@ Database PdsmSemantics::BuildReductBitDb(const PartialInterpretation& i) const {
   return out;
 }
 
-void PdsmSemantics::SetBudget(std::shared_ptr<Budget> budget) {
-  opts_.budget = budget;
-  engine_.SetBudget(std::move(budget));
-}
-
 Result<bool> PdsmSemantics::IsPartialStable(const PartialInterpretation& i) {
   if (i.num_vars() != db_.num_vars()) {
     return Status::InvalidArgument("interpretation size mismatch");
@@ -139,8 +130,8 @@ Status PdsmSemantics::ForEachPartialStable(
   // with exact blocking.
   sat::Solver s;
   s.SetBudget(opts_.budget);
-  s.EnsureVars(bit_db_.num_vars());
-  for (const auto& cl : bit_db_.ToCnf()) s.AddClause(cl);
+  s.EnsureVars(bit_database().num_vars());
+  for (const auto& cl : bit_database().ToCnf()) s.AddClause(cl);
 
   int64_t candidates = 0;
   for (;;) {
@@ -160,13 +151,13 @@ Status PdsmSemantics::ForEachPartialStable(
           StrFormat("PDSM candidate search exceeded %lld interpretations",
                     static_cast<long long>(opts_.max_candidates)));
     }
-    Interpretation bits = s.Model(bit_db_.num_vars());
+    Interpretation bits = s.Model(bit_database().num_vars());
     PartialInterpretation i = DecodeBits(bits);
     DD_ASSIGN_OR_RETURN(bool stable, IsPartialStable(i));
     if (stable && !visit(i)) return Status::OK();
     // Exclude exactly this bit pattern.
     std::vector<Lit> block;
-    for (Var v = 0; v < bit_db_.num_vars(); ++v) {
+    for (Var v = 0; v < bit_database().num_vars(); ++v) {
       block.push_back(bits.Contains(v) ? Lit::Neg(v) : Lit::Pos(v));
     }
     if (block.empty()) break;

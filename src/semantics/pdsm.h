@@ -37,7 +37,7 @@ class PdsmSemantics : public Semantics {
   Result<bool> IsPartialStable(const PartialInterpretation& i);
 
   /// All partial stable models (exact-blocking enumeration over the
-  /// two-bit encoding; bounded by options().max_candidates).
+  /// two-bit encoding; bounded by SemanticsOptions::max_candidates).
   Result<std::vector<PartialInterpretation>> PartialModels(int64_t cap = -1);
 
   /// The *total* partial stable models, i.e. precisely the disjunctive
@@ -58,24 +58,9 @@ class PdsmSemantics : public Semantics {
 
   Result<bool> HasModel() override;
 
-  const MinimalStats& stats() const override { return engine_.stats(); }
-
-  /// Installs the budget on the owned engine and the options (the reduct
-  /// engines and the bit-model candidate solver inherit it).
-  void SetBudget(std::shared_ptr<Budget> budget) override;
-
-  /// Attaches the query trace to the owned (bit-level) engine; reduct
-  /// engines run untraced and fold their counters into stats().
-  void SetTrace(obs::TraceContext* trace) override { engine_.SetTrace(trace); }
-
-  /// Session-reuse accounting of the owned engine.
-  oracle::SessionStats session_stats() const override {
-    return engine_.session_stats();
-  }
-
   /// The two-bit encoding of the 3-valued models of the database itself
   /// (exposed for tests): atom v maps to bits t=v and nf=num_vars+v.
-  const Database& bit_database() const { return bit_db_; }
+  const Database& bit_database() const { return engine_.db(); }
 
   /// Bit-level <-> 3-valued conversions for the encoding above.
   PartialInterpretation DecodeBits(const Interpretation& bits) const;
@@ -87,11 +72,6 @@ class PdsmSemantics : public Semantics {
       const std::function<bool(const PartialInterpretation&)>& visit);
 
   Database BuildReductBitDb(const PartialInterpretation& i) const;
-
-  Database db_;
-  SemanticsOptions opts_;
-  Database bit_db_;
-  MinimalEngine engine_;  ///< over bit_db_ (accounting)
 };
 
 }  // namespace dd

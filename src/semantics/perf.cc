@@ -6,9 +6,7 @@
 namespace dd {
 
 PerfSemantics::PerfSemantics(const Database& db, const SemanticsOptions& opts)
-    : db_(db),
-      opts_(opts),
-      engine_(db, opts.minimal_options()),
+    : Semantics(db, opts),
       priority_(db),
       all_(Partition::MinimizeAll(db.num_vars())) {}
 
@@ -19,11 +17,6 @@ Status PerfSemantics::CheckSupported() const {
         "(paper footnote 3)");
   }
   return Status::OK();
-}
-
-void PerfSemantics::SetBudget(std::shared_ptr<Budget> budget) {
-  opts_.budget = budget;
-  engine_.SetBudget(std::move(budget));
 }
 
 Result<bool> PerfSemantics::IsPerfect(const Interpretation& m) {

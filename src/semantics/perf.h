@@ -53,27 +53,9 @@ class PerfSemantics : public Semantics {
   Result<std::optional<Interpretation>> FindCounterexample(
       const Formula& f) override;
 
-  const MinimalStats& stats() const override { return engine_.stats(); }
-
-  /// Installs the budget on the owned engine and the options (the strata
-  /// iteration's per-level engines inherit it from the options).
-  void SetBudget(std::shared_ptr<Budget> budget) override;
-
-  /// Attaches the query trace to the owned engine (per-level helper
-  /// engines run untraced; their counters fold into stats()).
-  void SetTrace(obs::TraceContext* trace) override { engine_.SetTrace(trace); }
-
-  /// Session-reuse accounting of the owned engine.
-  oracle::SessionStats session_stats() const override {
-    return engine_.session_stats();
-  }
-
  private:
   Status CheckSupported() const;
 
-  Database db_;
-  SemanticsOptions opts_;
-  MinimalEngine engine_;
   PriorityRelation priority_;
   Partition all_;
 };

@@ -75,7 +75,7 @@ Result<std::vector<Interpretation>> PwsSemantics::PossibleModels() {
   // Collect the rules (non-integrity clauses) and the integrity clauses.
   std::vector<const Clause*> rules;
   std::vector<const Clause*> constraints;
-  for (const Clause& c : db().clauses()) {
+  for (const Clause& c : db_.clauses()) {
     if (c.heads().size() > 31) {
       return Status::ResourceExhausted(
           "PWS split enumeration limited to heads of at most 31 atoms");
@@ -97,7 +97,7 @@ Result<std::vector<Interpretation>> PwsSemantics::PossibleModels() {
         if (mask & (1u << h)) split->push_back({c.heads()[h], &c.pos_body()});
       }
     }
-    Interpretation lm = LeastModel(db().num_vars(), *split);
+    Interpretation lm = LeastModel(db_.num_vars(), *split);
     for (const Clause* ic : constraints) {
       if (!ic->SatisfiedBy(lm)) return;
     }
@@ -106,7 +106,7 @@ Result<std::vector<Interpretation>> PwsSemantics::PossibleModels() {
 
   std::set<Interpretation> found;
 
-  if (options().num_threads > 1 && !rules.empty()) {
+  if (opts_.num_threads > 1 && !rules.empty()) {
     // Parallel enumeration, partitioned by the first rule's head choice.
     // The split-count budget is checked upfront (saturating product of the
     // per-rule nonempty-subset counts), so workers run unthrottled; the
@@ -117,22 +117,22 @@ Result<std::vector<Interpretation>> PwsSemantics::PossibleModels() {
     int64_t total = 1;
     for (const Clause* r : rules) {
       const int64_t opts_r = (int64_t{1} << r->heads().size()) - 1;
-      if (total > options().max_candidates / opts_r) {
-        total = options().max_candidates + 1;
+      if (total > opts_.max_candidates / opts_r) {
+        total = opts_.max_candidates + 1;
         break;
       }
       total *= opts_r;
     }
-    if (total > options().max_candidates) {
+    if (total > opts_.max_candidates) {
       return Status::ResourceExhausted(StrFormat(
           "PWS split enumeration exceeded %lld splits",
-          static_cast<long long>(options().max_candidates)));
+          static_cast<long long>(opts_.max_candidates)));
     }
     const uint32_t full0 = (1u << rules[0]->heads().size()) - 1;
     std::vector<std::set<Interpretation>> partials(full0);
     const CancelToken* cancel =
-        options().budget ? options().budget->cancel_token().get() : nullptr;
-    ParallelFor(static_cast<int64_t>(full0), options().num_threads, cancel,
+        opts_.budget ? opts_.budget->cancel_token().get() : nullptr;
+    ParallelFor(static_cast<int64_t>(full0), opts_.num_threads, cancel,
                 [&](int64_t t) {
                   std::vector<uint32_t> choice(rules.size(), 1);
                   choice[0] = static_cast<uint32_t>(t) + 1;
@@ -160,8 +160,8 @@ Result<std::vector<Interpretation>> PwsSemantics::PossibleModels() {
                 });
     // Deadline mid-enumeration: the merged set would be missing splits, so
     // degrade to Status instead of returning a too-small possible-model set.
-    if (options().budget != nullptr && options().budget->Exhausted()) {
-      return options().budget->ToStatus();
+    if (opts_.budget != nullptr && opts_.budget->Exhausted()) {
+      return opts_.budget->ToStatus();
     }
     for (std::set<Interpretation>& p : partials) {
       found.insert(p.begin(), p.end());
@@ -175,14 +175,14 @@ Result<std::vector<Interpretation>> PwsSemantics::PossibleModels() {
   std::vector<uint32_t> choice(rules.size(), 1);  // masks, start at {first}
   std::vector<SplitRule> split;
   for (;;) {
-    if (++splits_explored > options().max_candidates) {
+    if (++splits_explored > opts_.max_candidates) {
       return Status::ResourceExhausted(StrFormat(
           "PWS split enumeration exceeded %lld splits",
-          static_cast<long long>(options().max_candidates)));
+          static_cast<long long>(opts_.max_candidates)));
     }
-    if (options().budget != nullptr && ((splits_explored & 255) == 0) &&
-        options().budget->Exhausted()) {
-      return options().budget->ToStatus();
+    if (opts_.budget != nullptr && ((splits_explored & 255) == 0) &&
+        opts_.budget->Exhausted()) {
+      return opts_.budget->ToStatus();
     }
     process(choice, &split, &found);
 
@@ -209,21 +209,21 @@ Result<Interpretation> PwsSemantics::PossibleAtoms() {
     // Polynomial path: split choices are monotone, so the full-split least
     // model is itself a possible model containing every atom any possible
     // model contains.
-    possible_atoms_ = DefiniteLeastModel(db());
+    possible_atoms_ = DefiniteLeastModel(db_);
     return *possible_atoms_;
   }
-  if (options().pws_use_sat_encoding) {
+  if (opts_.pws_use_sat_encoding) {
     PwsEncodingStats stats;
     DD_ASSIGN_OR_RETURN(Interpretation atoms,
-                        PossibleAtomsViaSat(db(), &stats, options().budget));
+                        PossibleAtomsViaSat(db_, &stats, opts_.budget));
     MinimalStats ms;
     ms.sat_calls = stats.sat_calls;
-    engine()->AbsorbStats(ms);
+    engine_.AbsorbStats(ms);
     possible_atoms_ = std::move(atoms);
     return *possible_atoms_;
   }
   DD_ASSIGN_OR_RETURN(std::vector<Interpretation> pms, PossibleModels());
-  Interpretation atoms(db().num_vars());
+  Interpretation atoms(db_.num_vars());
   for (const auto& m : pms) {
     for (Var v : m.TrueAtoms()) atoms.Insert(v);
   }
@@ -255,8 +255,8 @@ Result<bool> PwsSemantics::HasModel() {
 
 Result<Interpretation> PwsSemantics::ComputeNegatedAtoms() {
   DD_ASSIGN_OR_RETURN(Interpretation atoms, PossibleAtoms());
-  Interpretation negs(db().num_vars());
-  for (Var v = 0; v < db().num_vars(); ++v) {
+  Interpretation negs(db_.num_vars());
+  for (Var v = 0; v < db_.num_vars(); ++v) {
     if (!atoms.Contains(v)) negs.Insert(v);
   }
   return negs;

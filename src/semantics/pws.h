@@ -32,7 +32,7 @@ class PwsSemantics : public ClosedWorldSemantics {
   SemanticsKind kind() const override { return SemanticsKind::kPws; }
 
   /// All possible models (deduplicated across splits). Exponential in the
-  /// number of disjunctive rules; bounded by options().max_candidates.
+  /// number of disjunctive rules; bounded by SemanticsOptions::max_candidates.
   Result<std::vector<Interpretation>> PossibleModels();
 
   /// Negative literals on positive DBs use the polynomial full-split path.

@@ -78,6 +78,23 @@ Result<bool> Semantics::InfersCredulously(const Formula& f) {
   return witness.has_value();
 }
 
+void Semantics::ReportNewWork(MinimalStats* stats,
+                              oracle::SessionStats* session) {
+  const MinimalStats now = engine_.stats();
+  const oracle::SessionStats session_now = engine_.session_stats();
+  stats->Add(now);
+  stats->Sub(reported_);
+  session->Add(session_now);
+  session->Sub(reported_session_);
+  reported_ = now;
+  reported_session_ = session_now;
+}
+
+void Semantics::SetBudget(std::shared_ptr<Budget> budget) {
+  opts_.budget = budget;
+  engine_.SetBudget(std::move(budget));
+}
+
 Result<std::shared_ptr<const std::vector<Interpretation>>>
 Semantics::SharedModels(int64_t cap) {
   DD_ASSIGN_OR_RETURN(std::vector<Interpretation> models, Models(cap));

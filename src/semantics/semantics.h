@@ -9,8 +9,9 @@
 //   HasModel()        - is the intended-model set nonempty?
 //
 // Implementations are algorithm-faithful to the paper's membership proofs:
-// their oracle structure (SAT calls, CEGAR refinements) is counted and
-// reported through stats().
+// their oracle structure (SAT calls, CEGAR refinements) is counted by the
+// MinimalEngine the base class owns and reported through stats() and
+// ReportNewWork().
 #ifndef DD_SEMANTICS_SEMANTICS_H_
 #define DD_SEMANTICS_SEMANTICS_H_
 
@@ -170,30 +171,41 @@ class Semantics {
   /// which f is not false.
   Result<bool> InfersCredulously(const Formula& f);
 
-  /// Cumulative oracle accounting.
-  virtual const MinimalStats& stats() const = 0;
+  /// Cumulative oracle accounting of the owned engine; helper and reduct
+  /// engines a query spawns fold their counters into it.
+  const MinimalStats& stats() const { return engine_.stats(); }
 
-  /// Installs (or with nullptr removes) a shared query budget on this
-  /// semantics and every engine/solver it owns, clearing any interrupt
-  /// latched by a previous budgeted query. While a budget is attached,
-  /// the Result-returning entry points answer
-  /// kDeadlineExceeded/kResourceExhausted on exhaustion; any OK answer is
-  /// identical to the unbudgeted one ("Unknown is allowed, wrong is not",
-  /// docs/ROBUSTNESS.md).
-  virtual void SetBudget(std::shared_ptr<Budget> budget) = 0;
+  /// Session-reuse accounting of the owned engine (all zero in
+  /// fresh-solver mode).
+  oracle::SessionStats session_stats() const {
+    return engine_.session_stats();
+  }
 
-  /// Attaches (nullptr detaches) a query trace to this semantics and the
-  /// engine(s) it owns: the owned MinimalEngine opens one "minimal"-layer
-  /// span per outermost operation. Helper/reduct engines spawned during a
-  /// query run untraced — their counters fold into the owning engine's
-  /// stats and are attributed to the enclosing span. Installed per query
-  /// by core/Reasoner; see obs/trace.h and docs/OBSERVABILITY.md.
-  virtual void SetTrace(obs::TraceContext* trace) = 0;
+  /// Adds the engine's work since the previous call to `*stats` and
+  /// `*session`, so each counter is reported exactly once however often
+  /// this is called. core/Reasoner folds these reports into its query
+  /// spans and running totals; the batch layer hands a group engine's
+  /// report back in GroupResult.
+  void ReportNewWork(MinimalStats* stats, oracle::SessionStats* session);
 
-  /// Session-reuse accounting of the owned engine(s) (all zero in
-  /// fresh-solver mode). The benches and the reasoner's trace spans report
-  /// cache_hits from here.
-  virtual oracle::SessionStats session_stats() const = 0;
+  /// Installs (or with nullptr removes) a shared query budget on the
+  /// options (inherited by every helper engine and solver built from
+  /// them) and on the owned engine, clearing any interrupt latched by a
+  /// previous budgeted query. While a budget is attached, the
+  /// Result-returning entry points answer kDeadlineExceeded/
+  /// kResourceExhausted on exhaustion; any OK answer is identical to the
+  /// unbudgeted one ("Unknown is allowed, wrong is not",
+  /// docs/ROBUSTNESS.md). Cached results (e.g. the closed-world
+  /// augmentation set N) survive: they are only ever cached after an
+  /// uninterrupted computation.
+  void SetBudget(std::shared_ptr<Budget> budget);
+
+  /// Attaches (nullptr detaches) a query trace to the owned engine, which
+  /// opens one "minimal"-layer span per outermost operation. Helper and
+  /// reduct engines spawned during a query run untraced — their counters
+  /// fold into stats() and are attributed to the enclosing span. Installed
+  /// per query by core/Reasoner; see obs/trace.h and docs/OBSERVABILITY.md.
+  void SetTrace(obs::TraceContext* trace) { engine_.SetTrace(trace); }
 
   /// Anytime payload: the models a Models() call had already collected when
   /// it was cut short by budget exhaustion (the call itself returns the
@@ -205,9 +217,26 @@ class Semantics {
   }
 
  protected:
+  /// The owned engine reasons over `db` itself.
+  Semantics(const Database& db, const SemanticsOptions& opts)
+      : Semantics(db, opts, db) {}
+  /// The owned engine reasons over `engine_db`, a database derived from
+  /// `db` (ICWA's positivized database, PDSM's two-bit encoding).
+  Semantics(const Database& db, const SemanticsOptions& opts,
+            const Database& engine_db)
+      : db_(db), opts_(opts), engine_(engine_db, opts.minimal_options()) {}
+
+  Database db_;
+  SemanticsOptions opts_;
+  MinimalEngine engine_;
   /// Implementations stash their collected-so-far models here before
   /// returning an exhaustion Status from Models().
   std::vector<Interpretation> partial_models_;
+
+ private:
+  /// What ReportNewWork has reported so far.
+  MinimalStats reported_;
+  oracle::SessionStats reported_session_;
 };
 
 /// The one engine factory. CCWA and ECWA take `partition` when it is

@@ -3,9 +3,10 @@
 // Pins the three contracts the obs subsystem makes:
 //
 //   1. Exactness: summing `oracle_calls` over "reasoner"-layer trace spans
-//      reproduces the legacy MinimalStats totals, on every one of the 11
-//      semantics (the spans are deltas of the same counters, so the sum is
-//      exact by construction — this test keeps it that way).
+//      reproduces the reasoner's running totals, on every one of the 11
+//      semantics and across engine drops (each engine report is folded
+//      into its span and the totals together, so the sum is exact by
+//      construction — these tests keep it that way).
 //   2. Publish coverage: for each legacy stats struct s, Publish(s) writes
 //      every field under its documented dd.* name and nothing else, so
 //      the registry exports (--metrics, BENCH_*.json rows) carry every
@@ -304,15 +305,41 @@ TEST(FormatStatsTest, CombinedRendersAllSections) {
 // ---------------------------------------------------------------------------
 // The exactness contract: reasoner-layer span sums == legacy totals
 
-// Runs a representative query mix for `kind` against `r`.
+// Runs a representative query mix for `kind` against `r`. The fresh atom
+// `fresh_q` grows the vocabulary mid-mix, which drops every cached engine
+// (Reasoner::InvalidateCaches) after the first queries did their work.
 void RunQueryMix(Reasoner* r, SemanticsKind kind) {
   ASSERT_TRUE(r->InfersFormula(kind, "a | b").ok());
   ASSERT_TRUE(r->InfersLiteral(kind, "not c").ok());
+  ASSERT_TRUE(r->InfersLiteral(kind, "not fresh_q").ok());
   ASSERT_TRUE(r->HasModel(kind).ok());
   ASSERT_TRUE(r->Models(kind).ok());
   // Budgeted (unlimited) + credulous entry points cross the same span gate.
   ASSERT_TRUE(r->InfersFormula(kind, "a | b", QueryOptions{}).ok());
   ASSERT_TRUE(r->InfersCredulously(kind, "a").ok());
+}
+
+// One reasoner-layer span per entry point, each carrying its query's
+// engine reports — so the sums reproduce the running totals exactly.
+void ExpectSpanSumsMatchTotals(const obs::TraceContext& trace,
+                               const Reasoner& r, SemanticsKind kind) {
+  const MinimalStats totals = r.TotalStats();
+  EXPECT_EQ(trace.SumCounter("oracle_calls", "reasoner"), totals.sat_calls)
+      << SemanticsKindName(kind);
+  EXPECT_EQ(trace.SumCounter("minimizations", "reasoner"),
+            totals.minimizations)
+      << SemanticsKindName(kind);
+  EXPECT_EQ(trace.SumCounter("cegar_iterations", "reasoner"),
+            totals.cegar_iterations)
+      << SemanticsKindName(kind);
+  EXPECT_EQ(trace.SumCounter("models_enumerated", "reasoner"),
+            totals.models_enumerated)
+      << SemanticsKindName(kind);
+  const oracle::SessionStats sess = r.TotalSessionStats();
+  EXPECT_EQ(trace.SumCounter("cache_hits", "reasoner"), sess.cache_hits)
+      << SemanticsKindName(kind);
+  EXPECT_EQ(trace.SumCounter("cache_misses", "reasoner"), sess.cache_misses)
+      << SemanticsKindName(kind);
 }
 
 TEST(TraceExactness, ReasonerSpanSumsMatchTotalsOnAllSemantics) {
@@ -325,23 +352,7 @@ TEST(TraceExactness, ReasonerSpanSumsMatchTotalsOnAllSemantics) {
       ASSERT_TRUE(r.SetPartition({}, {}, {}, 'p').ok());
     }
     RunQueryMix(&r, kind);
-    MinimalStats totals = r.TotalStats();
-    // One reasoner-layer span per entry point, each carrying the query's
-    // stats delta — so the sums reproduce the totals exactly.
-    EXPECT_EQ(trace.SumCounter("oracle_calls", "reasoner"), totals.sat_calls)
-        << SemanticsKindName(kind);
-    EXPECT_EQ(trace.SumCounter("minimizations", "reasoner"),
-              totals.minimizations)
-        << SemanticsKindName(kind);
-    EXPECT_EQ(trace.SumCounter("cegar_iterations", "reasoner"),
-              totals.cegar_iterations)
-        << SemanticsKindName(kind);
-    EXPECT_EQ(trace.SumCounter("models_enumerated", "reasoner"),
-              totals.models_enumerated)
-        << SemanticsKindName(kind);
-    oracle::SessionStats sess = r.TotalSessionStats();
-    EXPECT_EQ(trace.SumCounter("cache_hits", "reasoner"), sess.cache_hits)
-        << SemanticsKindName(kind);
+    ExpectSpanSumsMatchTotals(trace, r, kind);
     // Every reasoner span names its semantics.
     int reasoner_spans = 0;
     for (const obs::Span& s : trace.Snapshot()) {
@@ -351,7 +362,54 @@ TEST(TraceExactness, ReasonerSpanSumsMatchTotalsOnAllSemantics) {
       EXPECT_EQ(*s.Attr("semantics"), SemanticsKindName(kind));
       EXPECT_GE(s.end_us, s.start_us);
     }
-    EXPECT_EQ(reasoner_spans, 6) << SemanticsKindName(kind);
+    EXPECT_EQ(reasoner_spans, 7) << SemanticsKindName(kind);
+  }
+}
+
+// A new CCWA/ECWA partition and a certification toggle drop cached
+// engines too; the work those engines already did stays in the totals,
+// which never decrease from one call to the next.
+TEST(TraceExactness, TotalsSurviveEngineDropsAndNeverDecrease) {
+  Database db = testing::Db("a | b. c :- a. e | f :- c. d :- b.");
+  for (SemanticsKind kind : kAllKinds) {
+    obs::TraceContext trace;
+    Reasoner r(db);
+    r.set_trace(&trace);
+    MinimalStats last;
+    oracle::SessionStats last_sess;
+    auto expect_monotone = [&](const char* step) {
+      const MinimalStats now = r.TotalStats();
+      const oracle::SessionStats sess = r.TotalSessionStats();
+      const std::string where =
+          std::string(SemanticsKindName(kind)) + " after " + step;
+      EXPECT_GE(now.sat_calls, last.sat_calls) << where;
+      EXPECT_GE(now.minimizations, last.minimizations) << where;
+      EXPECT_GE(now.cegar_iterations, last.cegar_iterations) << where;
+      EXPECT_GE(now.models_enumerated, last.models_enumerated) << where;
+      EXPECT_GE(sess.base_loads, last_sess.base_loads) << where;
+      EXPECT_GE(sess.solves, last_sess.solves) << where;
+      EXPECT_GE(sess.cache_hits, last_sess.cache_hits) << where;
+      EXPECT_GE(sess.cache_misses, last_sess.cache_misses) << where;
+      last = now;
+      last_sess = sess;
+    };
+    ASSERT_TRUE(r.Models(kind).ok());
+    expect_monotone("Models");
+    ASSERT_TRUE(r.InfersFormula(kind, "a | b").ok());
+    expect_monotone("InfersFormula");
+    ASSERT_TRUE(r.SetPartition({"a", "b"}, {}, {}, 'z').ok());
+    expect_monotone("SetPartition");
+    ASSERT_TRUE(r.InfersFormula(kind, "c | d").ok());
+    expect_monotone("InfersFormula under the partition");
+    r.EnableCertification(true);
+    expect_monotone("EnableCertification(true)");
+    ASSERT_TRUE(r.InfersLiteral(kind, "not e").ok());
+    expect_monotone("certified InfersLiteral");
+    r.EnableCertification(false);
+    expect_monotone("EnableCertification(false)");
+    ASSERT_TRUE(r.Models(kind).ok());
+    expect_monotone("second Models");
+    ExpectSpanSumsMatchTotals(trace, r, kind);
   }
 }
 
