@@ -13,7 +13,8 @@
 // per oracle call (--no-sessions semantics), and the table reports the
 // wall-clock ratio next to the *semantic* oracle-call counts, which must
 // be identical in both modes — the sessions change how fast the oracle
-// answers, never how often the algorithm asks.
+// answers, never how often the algorithm asks. A row whose counts differ
+// prints "NO!" and makes the run exit 1.
 //
 // Flags: --seed=N --threads=N --no-sessions (see bench_util.h). Results
 // land in BENCH_oracle_calls.json for scripts/run_experiments.sh.
@@ -215,6 +216,7 @@ int main_impl(int argc, char** argv) {
   std::printf("%8s %12s %12s %10s %12s %12s %12s %8s\n", "n", "fresh[ms]",
               "session[ms]", "speedup", "oracle =?", "sat fresh",
               "sat sess", "hits");
+  bool all_same_oracle = true;
   for (int n : {8, 12, 16, 20, 24}) {
     Database db = RandomPositiveDdb(
         n, 2 * n, DeriveSeed(args.seed * 31, static_cast<uint64_t>(n)));
@@ -227,6 +229,7 @@ int main_impl(int argc, char** argv) {
     const bool fresh_to = bench::TimedOut(fresh_watchdog);
     const bool sess_to = bench::TimedOut(sess_watchdog);
     const bool same_oracle = fresh.oracle_calls == sess.oracle_calls;
+    all_same_oracle = all_same_oracle && same_oracle;
     std::printf("%8d %12.2f %12.2f %9.2fx %12s %12lld %12lld %8lld\n", n,
                 fresh.ms, sess.ms, fresh.ms / (sess.ms > 0 ? sess.ms : 1e-9),
                 same_oracle ? "yes" : "NO!",
@@ -249,6 +252,12 @@ int main_impl(int argc, char** argv) {
       "session only removes rebuild/replay work (sat calls drop, hits "
       "climb), never a semantic oracle invocation.\n");
   json.Write();
+  if (!all_same_oracle) {
+    std::fprintf(stderr,
+                 "bench_oracle_calls: the A/B oracle-call counts differ "
+                 "between modes\n");
+    return 1;
+  }
   return 0;
 }
 

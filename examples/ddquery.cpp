@@ -182,7 +182,8 @@ void PrintHelp() {
   std::printf(
       "commands: load <file> | loadg <file> | add <clause.> | show |\n"
       "          strata | models <sem> [cap] | infer <sem> <formula> |\n"
-      "          lit <sem> <literal> | answers <sem> <template> |\n"
+      "          lit <sem> <literal> | brave <sem> <formula> |\n"
+      "          why <sem> <formula> | answers <sem> <template> |\n"
       "          banswers <sem> <template> | exists <sem> |\n"
       "          partition p=a,b q=c rest=z | stats | help | quit\n"
       "semantics: cwa gcwa egcwa ccwa ecwa ddr pws perf icwa dsm pdsm\n"
@@ -530,6 +531,15 @@ int main(int argc, char** argv) {
     if (arg == "--naive-templates") {
       naive_templates = true;
       continue;
+    }
+    if (arg == "--help" || arg == "-h") {
+      PrintHelp();
+      return 0;
+    }
+    if (arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "ddquery: unknown flag '%s' (try --help)\n",
+                   arg.c_str());
+      return 1;
     }
     positional.push_back(argv[i]);
   }

@@ -2,7 +2,10 @@
 # Full pre-merge check matrix:
 #
 #   1. Release build with -Werror (bench/ included, so benchmark code
-#      cannot carry warnings either), ctest
+#      cannot carry warnings either), ctest, then the oracle-session A/B
+#      audit: bench_oracle_calls runs in a temp dir (results/ untouched)
+#      and fails the leg when the counting algorithm's oracle-call counts
+#      differ between session and fresh mode
 #   2. AddressSanitizer build, ctest
 #   3. UndefinedBehaviorSanitizer build, ctest
 #   4. ThreadSanitizer build, running the concurrency surface only
@@ -22,7 +25,9 @@
 #      session that interns a fresh atom must publish dd.minimal.sat_calls,
 #      dd.minimal.cegar_iterations and dd.session.cache_hits equal to the
 #      sums of its reasoner spans' counters,
-#      plus a `ddquery --certify` sweep over every example program —
+#      plus the CLI flag contract (`ddquery --help` exits 0, an unknown
+#      `--` flag exits 1), plus a `ddquery --certify` sweep over every
+#      example program —
 #      certificate rejections flip the exit code and fail the leg
 #      (docs/ANALYSIS.md section 5)
 #   9. batched-query A/B: every examples/programs/*.queries file runs
@@ -87,6 +92,24 @@ run_leg() { # name build_dir cmake_args...   (CTEST_FILTER: optional -R regex)
 
 run_leg "release (-Werror)" build-check-release \
         -DCMAKE_BUILD_TYPE=Release -DDD_WERROR=ON -DDD_BUILD_BENCHMARKS=ON
+
+echo "===== oracle-session A/B (bench_oracle_calls) ====="
+AB_BIN="$PWD/build-check-release/bench/bench_oracle_calls"
+if [ -x "$AB_BIN" ]; then
+  # The bench writes BENCH_oracle_calls.json into its working directory;
+  # a temp dir keeps the committed results/ copy untouched (~3 s).
+  AB_TMP="$(mktemp -d)"
+  if ! (cd "$AB_TMP" && "$AB_BIN" --timeout-ms=10000 >ab.out 2>&1); then
+    tail -n 12 "$AB_TMP/ab.out"
+    echo "oracle A/B: oracle-call counts differ between modes (or the run failed)"
+    FAILED=1
+  else
+    echo "oracle A/B: OK (oracle-call counts identical in both modes)"
+  fi
+  rm -rf "$AB_TMP"
+else
+  echo "oracle A/B: bench_oracle_calls not built; skipping"
+fi
 
 if [ "$FAST" -eq 0 ]; then
   run_leg "asan" build-check-asan \
@@ -206,6 +229,23 @@ PY
   rm -rf "$OBS_TMP"
 else
   echo "obs: ddquery or python3 unavailable; skipping"
+fi
+
+echo "===== ddquery flags (--help / unknown flag) ====="
+if [ -x "$QUERY_BIN" ]; then
+  "$QUERY_BIN" --help >/dev/null 2>&1
+  help_rc=$?
+  "$QUERY_BIN" --no-such-flag examples/programs/example31.ddb \
+    </dev/null >/dev/null 2>&1
+  bad_rc=$?
+  if [ "$help_rc" -ne 0 ] || [ "$bad_rc" -ne 1 ]; then
+    echo "flags: --help exited $help_rc (want 0), unknown flag exited $bad_rc (want 1)"
+    FAILED=1
+  else
+    echo "flags: OK (--help exits 0, unknown flag exits 1)"
+  fi
+else
+  echo "flags: ddquery not built; skipping"
 fi
 
 echo "===== ddquery --certify over examples/programs ====="

@@ -91,8 +91,9 @@ class Reasoner {
   Result<bool> InfersFormula(SemanticsKind kind, std::string_view formula);
 
   /// Parses a query formula against the database vocabulary (fresh atoms
-  /// are interned; engines are rebuilt when the vocabulary grows). Use
-  /// with Get(kind)->InfersCredulously / FindCounterexample.
+  /// are interned; engines are rebuilt when the vocabulary grows). The
+  /// string entry points (InfersFormula, InfersCredulously,
+  /// FindCounterexample) parse through it.
   Result<Formula> ParseQueryFormula(std::string_view formula);
 
   /// The Var of the atom named `name`, interning it when fresh — the
@@ -194,9 +195,6 @@ class Reasoner {
   /// Cumulative batch accounting across every AnswerBatch call.
   const batch::BatchStats& batch_stats() const { return batch_total_; }
 
-  /// The lazily created engine for `kind` (never null).
-  Semantics* Get(SemanticsKind kind);
-
   /// Configures the <P;Q;Z> partition used by CCWA and ECWA, given atom
   /// names. Unlisted atoms fall into the part named by `rest` ('p', 'q' or
   /// 'z'). Resets the cached CCWA/ECWA engines.
@@ -271,6 +269,10 @@ class Reasoner {
   }
 
  private:
+  /// The lazily created engine for `kind` (never null). Private: work
+  /// done through it would land in the next entry point's span.
+  Semantics* Get(SemanticsKind kind);
+
   /// A routed query: which path, and (for engine-executed paths) which
   /// Semantics instance runs it — null when FastPathEngine serves it.
   struct Routed {

@@ -16,19 +16,6 @@ namespace dd {
 namespace {
 
 using sat::SolveResult;
-using sat::Solver;
-
-// Loads the database CNF into a fresh solver and attaches the (possibly
-// null) query budget, so fresh-mode oracle calls honor deadlines too.
-void LoadDb(const Database& db, Solver* s,
-            const std::shared_ptr<Budget>& budget = nullptr) {
-  s->SetBudget(budget);
-  s->EnsureVars(db.num_vars());
-  // Prefer-false polarity makes the first model found already small, which
-  // shortens minimization loops.
-  s->SetDefaultPolarity(false);
-  for (const auto& cl : db.ToCnf()) s->AddClause(cl.data(), cl.size());
-}
 
 // The clause excluding the "region" of a minimal projection: models M''
 // with M''∩P ⊇ p* and M''∩Q = q*. Empty iff the region is the whole model
@@ -44,16 +31,6 @@ std::vector<Lit> RegionBlockClause(const Interpretation& proj,
     block.push_back(proj.Contains(v) ? Lit::Neg(v) : Lit::Pos(v));
   }
   return block;
-}
-
-// Adds the region block to a fresh solver. Returns false if the region is
-// the whole model space (empty clause).
-bool AddRegionBlock(const Interpretation& proj, const Partition& pqz,
-                    Solver* s) {
-  std::vector<Lit> block = RegionBlockClause(proj, pqz);
-  if (block.empty()) return false;
-  s->AddClause(std::move(block));
-  return true;
 }
 
 // Fixes the (P,Q)-projection of `m` as unit assumptions (Z left free).
@@ -162,35 +139,31 @@ MinimalEngine::OpScope::~OpScope() {
 }
 
 // ---------------------------------------------------------------------------
-// Public dispatchers.
+// Public operations. Each runs its oracle calls through Query, so one body
+// serves both modes; only session mode consults the memos (has_model_,
+// cache_, proj_store_).
 // ---------------------------------------------------------------------------
 
 bool MinimalEngine::HasModel() {
   if (interrupted_) return false;
   OpScope op(this, "minimal.has_model");
-  if (!opts_.use_sessions) return HasModelFresh();
-  if (has_model_.has_value()) {
+  if (opts_.use_sessions && has_model_.has_value()) {
     ++memo_hits_;
     return *has_model_;
   }
-  oracle::SatSession* s = session();
-  SolveResult r = s->Solve();
-  ++stats_.sat_calls;
-  if (r == SolveResult::kUnknown) {
-    // No memoization from an interrupted call: the next (re-budgeted)
-    // HasModel must actually solve.
-    MarkInterrupted();
-    return false;
-  }
+  Query q(this, /*ctx=*/nullptr);  // the database alone: no guarded context
+  SolveResult r = q.Solve();
+  // No memoization from an interrupted call (Solve latched the interrupt):
+  // the next (re-budgeted) HasModel must actually solve.
+  if (r == SolveResult::kUnknown) return false;
   has_model_ = (r == SolveResult::kSat);
-  if (*has_model_) found_model_ = s->Model(db_.num_vars());
+  if (*has_model_) found_model_ = q.Model(db_.num_vars());
   return *has_model_;
 }
 
 std::optional<Interpretation> MinimalEngine::FindModel() {
   if (interrupted_) return std::nullopt;
   OpScope op(this, "minimal.find_model");
-  if (!opts_.use_sessions) return FindModelFresh();
   if (!HasModel()) return std::nullopt;
   if (interrupted_) return std::nullopt;
   return found_model_;
@@ -256,16 +229,16 @@ bool MinimalEngine::IsMinimal(const Interpretation& m, const Partition& pqz) {
   if (interrupted_) return false;
   OpScope op(this, "minimal.is_minimal");
   if (std::optional<bool> h = TryHcfIsMinimal(m, pqz)) return *h;
-  if (!opts_.use_sessions) return IsMinimalFresh(m, pqz);
   if (!IsModel(m)) return false;
+  const bool memo = opts_.use_sessions;
   const Interpretation masked = oracle::MinimalityCache::MaskPQ(m, pqz);
-  if (std::optional<bool> v = cache_.LookupVerdict(pqz, masked)) return *v;
-  // Search a model strictly below m in the <P;Z> preorder, as one
-  // activation-guarded context on the persistent session: Q-values and
-  // absent P-atoms ride as assumptions, the "strictly smaller" clause is
-  // the only guarded clause.
-  oracle::SatSession* s = session();
-  oracle::SatSession::Context ctx(s);
+  if (memo) {
+    if (std::optional<bool> v = cache_.LookupVerdict(pqz, masked)) return *v;
+  }
+  // Search a model strictly below m in the <P;Z> preorder as one oracle
+  // call: Q-values and absent P-atoms ride as assumptions, the "strictly
+  // smaller" clause is the only query clause.
+  Query q(this);
   std::vector<Lit> pins;
   std::vector<Lit> smaller;
   for (Var v = 0; v < db_.num_vars(); ++v) {
@@ -284,17 +257,13 @@ bool MinimalEngine::IsMinimal(const Interpretation& m, const Partition& pqz) {
     // m's P-part is empty: nothing below it.
     minimal = true;
   } else {
-    ctx.AddClause(std::move(smaller));
-    SolveResult r = ctx.Solve(pins);
-    ++stats_.sat_calls;
-    if (r == SolveResult::kUnknown) {
-      // Interrupted: the verdict is unknowable — and must NOT be cached.
-      MarkInterrupted();
-      return false;
-    }
+    q.AddClause(std::move(smaller));
+    SolveResult r = q.Solve(pins);
+    // Interrupted: the verdict is unknowable — and must NOT be cached.
+    if (r == SolveResult::kUnknown) return false;
     minimal = (r == SolveResult::kUnsat);
   }
-  cache_.StoreVerdict(pqz, masked, minimal);
+  if (memo) cache_.StoreVerdict(pqz, masked, minimal);
   return minimal;
 }
 
@@ -303,20 +272,21 @@ Interpretation MinimalEngine::Minimize(const Interpretation& m,
   if (interrupted_) return m;
   OpScope op(this, "minimal.minimize");
   if (std::optional<Interpretation> h = TryHcfMinimize(m, pqz)) return *h;
-  if (!opts_.use_sessions) return MinimizeFresh(m, pqz);
   DD_CHECK(IsModel(m));
   ++stats_.minimizations;
+  const bool memo = opts_.use_sessions;
   const Interpretation masked = oracle::MinimalityCache::MaskPQ(m, pqz);
-  if (std::optional<Interpretation> c = cache_.LookupMinimized(pqz, masked)) {
-    // The cached certificate was minimized under exactly these P/Q pins, so
-    // it is a <P;Z>-minimal model below every Z-completion of the key.
-    return *c;
+  if (memo) {
+    if (std::optional<Interpretation> c = cache_.LookupMinimized(pqz, masked)) {
+      // The cached certificate was minimized under exactly these P/Q pins,
+      // so it is a <P;Z>-minimal model below every Z-completion of the key.
+      return *c;
+    }
   }
-  oracle::SatSession* s = session();
-  oracle::SatSession::Context ctx(s);
+  Query q(this);
   // Incremental descent: Q-values and absent P-atoms are assumption pins
   // (extended as atoms leave the candidate); each round's "strictly
-  // smaller" clause is guarded and enabled through a fresh selector.
+  // smaller" clause is a query clause enabled through a fresh selector.
   std::vector<Lit> pins;
   for (Var v = 0; v < db_.num_vars(); ++v) {
     if (pqz.q.Contains(v)) pins.push_back(Lit::Make(v, m.Contains(v)));
@@ -330,29 +300,26 @@ Interpretation MinimalEngine::Minimize(const Interpretation& m,
       if (pqz.p.Contains(v)) true_p.push_back(v);
     }
     if (true_p.empty()) break;  // nothing left to remove
-    Var sel = s->AllocVar();
+    Var sel = q.AllocVar();
     std::vector<Lit> clause{Lit::Neg(sel)};
     for (Var v : true_p) clause.push_back(Lit::Neg(v));
-    ctx.AddClause(std::move(clause));
+    q.AddClause(std::move(clause));
     assumptions = pins;
     assumptions.push_back(Lit::Pos(sel));
-    SolveResult r = ctx.Solve(assumptions);
-    ++stats_.sat_calls;
-    if (r == SolveResult::kUnknown) {
-      // Interrupted mid-descent: cur may NOT be minimal. Return it as a
-      // placeholder but skip every cache store below — caching it as
-      // minimal would poison later (un-budgeted) queries.
-      MarkInterrupted();
-      return cur;
-    }
+    SolveResult r = q.Solve(assumptions);
+    // Interrupted mid-descent: cur may NOT be minimal. Return it as a
+    // placeholder but skip every cache store below — caching it as minimal
+    // would poison later (un-budgeted) queries.
+    if (r == SolveResult::kUnknown) return cur;
     if (r != SolveResult::kSat) break;  // cur is minimal
-    Interpretation found = s->Model(db_.num_vars());
+    Interpretation found = q.Model(db_.num_vars());
     // Pin the freshly removed P-atoms false for all later rounds.
     for (Var v : true_p) {
       if (!found.Contains(v)) pins.push_back(Lit::Neg(v));
     }
     cur = found;
   }
+  if (!memo) return cur;
   cache_.StoreMinimized(pqz, masked, cur);
   // Minimization doubles as a minimality check: cur is minimal, and m was
   // minimal iff the descent never moved off m's projection.
@@ -428,62 +395,60 @@ int MinimalEngine::EnumerateMinimalProjections(
     const std::function<bool(const Interpretation&)>& cb) {
   if (interrupted_) return 0;
   OpScope op(this, "minimal.enumerate_projections");
-  if (!opts_.use_sessions) {
-    return EnumerateMinimalProjectionsFresh(pqz, cap, cb);
-  }
-  oracle::SatSession* s = session();
-  oracle::ProjectionStream* stream = proj_store_.GetStream(pqz);
   int emitted = 0;
-  // Replay the memoized prefix: zero SAT calls.
-  for (const Interpretation& proj : *stream->projections) {
-    if (cap >= 0 && emitted >= cap) return emitted;
-    ++emitted;
-    ++stats_.models_enumerated;
-    ++s->stats().projections_replayed;
-    if (!cb(proj)) return emitted;
+  // Session mode memoizes the stream: replay its known prefix with zero SAT
+  // calls, then resume discovery on its persistent context, whose guarded
+  // region blocks are exactly the projections replayed. Fresh mode
+  // enumerates from scratch on a dedicated solver.
+  oracle::ProjectionStream* stream = nullptr;
+  if (oracle::SatSession* s = session()) {
+    stream = proj_store_.GetStream(pqz);
+    for (const Interpretation& proj : *stream->projections) {
+      if (cap >= 0 && emitted >= cap) return emitted;
+      ++emitted;
+      ++stats_.models_enumerated;
+      ++s->stats().projections_replayed;
+      if (!cb(proj)) return emitted;
+    }
+    if (stream->exhausted) return emitted;
+    if (!stream->ctx) {
+      stream->ctx = std::make_unique<oracle::SatSession::Context>(s);
+      // Kept: a retiring context pins every variable allocated since it
+      // opened, which includes the activation literals of streams still
+      // live. Eviction retracts the stream by its activation alone.
+      stream->ctx->Keep();
+    }
   }
-  if (stream->exhausted) return emitted;
-  // Resume discovery on the stream's persistent context, whose guarded
-  // region blocks are exactly the projections replayed above.
-  if (!stream->ctx) {
-    stream->ctx = std::make_unique<oracle::SatSession::Context>(s);
-  }
+  Query q(this, stream != nullptr ? stream->ctx.get() : nullptr);
   for (;;) {
     if (cap >= 0 && emitted >= cap) break;
-    SolveResult r = stream->ctx->Solve();
-    ++stats_.sat_calls;
-    if (r == SolveResult::kUnknown) {
-      // Interrupted, NOT exhausted: leave the stream resumable — a retry
-      // with a fresh budget replays the memoized prefix (zero SAT calls)
-      // and continues discovery exactly where this run stopped.
-      MarkInterrupted();
-      break;
-    }
+    SolveResult r = q.Solve();
+    // Interrupted, NOT exhausted: a memoized stream stays resumable — a
+    // retry with a fresh budget replays its prefix (zero SAT calls) and
+    // continues discovery exactly where this run stopped.
+    if (r == SolveResult::kUnknown) break;
     if (r != SolveResult::kSat) {
-      stream->exhausted = true;
+      if (stream != nullptr) stream->exhausted = true;
       break;
     }
-    Interpretation m = s->Model(db_.num_vars());
-    Interpretation mm = Minimize(m, pqz);
-    if (interrupted_) {
-      // Minimization was cut short: mm may not be a minimal projection.
-      // Do not record it in the stream or block its region.
-      break;
-    }
+    Interpretation mm = Minimize(q.Model(db_.num_vars()), pqz);
+    // Minimization was cut short: mm may not be a minimal projection. Do
+    // not record it in the stream or block its region.
+    if (interrupted_) break;
+    // An empty block means the region is the whole model space.
+    std::vector<Lit> block = RegionBlockClause(mm, pqz);
+    const bool last = block.empty();
     // Record the projection and its block BEFORE consulting the consumer,
     // so the stream stays consistent even on early exit.
-    stream->projections->push_back(mm);
-    ++s->stats().projections_discovered;
-    std::vector<Lit> block = RegionBlockClause(mm, pqz);
-    if (block.empty()) {
-      stream->exhausted = true;  // region = everything
-    } else {
-      stream->ctx->AddClause(std::move(block));
+    if (stream != nullptr) {
+      stream->projections->push_back(mm);
+      ++session_->stats().projections_discovered;
+      if (last) stream->exhausted = true;
     }
+    if (!last) q.AddClause(std::move(block));
     ++emitted;
     ++stats_.models_enumerated;
-    if (!cb(mm)) break;
-    if (stream->exhausted) break;
+    if (!cb(mm) || last) break;
   }
   return emitted;
 }
@@ -501,30 +466,26 @@ int MinimalEngine::EnumerateAllMinimalModels(
     const std::function<bool(const Interpretation&)>& cb) {
   if (interrupted_) return 0;
   OpScope op(this, "minimal.enumerate_all_models");
-  if (!opts_.use_sessions) return EnumerateAllMinimalModelsFresh(pqz, cap, cb);
   // Outer loop over (memoized) minimal projections; inner loop over
-  // Z-completions in a per-projection guarded context.
-  oracle::SatSession* s = session();
+  // Z-completions, one query per projection.
   int emitted = 0;
   bool stop = false;
   EnumerateMinimalProjections(
       pqz, /*cap=*/-1, [&](const Interpretation& proj) {
-        oracle::SatSession::Context ctx(s);
+        Query q(this);
         const std::vector<Lit> fixed = ProjectionAssumptions(proj, pqz);
         for (;;) {
           if (cap >= 0 && emitted >= cap) {
             stop = true;
             break;
           }
-          SolveResult r = ctx.Solve(fixed);
-          ++stats_.sat_calls;
+          SolveResult r = q.Solve(fixed);
           if (r == SolveResult::kUnknown) {
-            MarkInterrupted();
             stop = true;
             break;
           }
           if (r != SolveResult::kSat) break;
-          Interpretation m = s->Model(db_.num_vars());
+          Interpretation m = q.Model(db_.num_vars());
           ++emitted;
           ++stats_.models_enumerated;
           if (!cb(m)) {
@@ -539,7 +500,7 @@ int MinimalEngine::EnumerateAllMinimalModels(
             }
           }
           if (diff.empty()) break;  // no Z atoms: one completion only
-          ctx.AddClause(std::move(diff));
+          q.AddClause(std::move(diff));
         }
         return !stop;
       });
@@ -550,29 +511,23 @@ bool MinimalEngine::MinimalEntails(const Formula& f, const Partition& pqz,
                                    Interpretation* counterexample) {
   if (interrupted_) return true;
   OpScope op(this, "minimal.entails");
-  if (!opts_.use_sessions) return MinimalEntailsFresh(f, pqz, counterexample);
   // Counterexample search: a <P;Z>-minimal model of DB violating F. The
-  // Tseitin encoding, the ¬F unit and the region blocks all live in one
-  // guarded context and vanish together when the query ends.
-  oracle::SatSession* s = session();
-  oracle::SatSession::Context ctx(s);
-  Var next = s->next_var();
+  // Tseitin encoding, the ¬F clause and the region blocks are all clauses
+  // of one query and vanish together when it ends.
+  Query q(this);
+  Var next = q.NextVar();
   std::vector<std::vector<Lit>> fcnf;
   Lit fl = TseitinEncode(f, &next, &fcnf);
-  s->ReserveVars(next);
-  for (auto& cl : fcnf) ctx.AddClause(std::move(cl));
-  ctx.AddUnit(~fl);  // assert ~F
+  q.ReserveVars(next);
+  for (auto& cl : fcnf) q.AddClause(std::move(cl));
+  q.AddClause({~fl});  // assert ~F
 
   for (;;) {
     ++stats_.cegar_iterations;
-    SolveResult r = ctx.Solve();
-    ++stats_.sat_calls;
-    if (r == SolveResult::kUnknown) {
-      MarkInterrupted();
-      return true;  // placeholder; caller must check interrupted()
-    }
-    if (r != SolveResult::kSat) return true;  // no candidate remains
-    Interpretation m = s->Model(db_.num_vars());
+    SolveResult r = q.Solve();
+    // Unknown: placeholder answer; the caller must check interrupted().
+    if (r != SolveResult::kSat) return true;  // or: no candidate remains
+    Interpretation m = q.Model(db_.num_vars());
     bool minimal = IsMinimal(m, pqz);
     if (interrupted_) return true;
     if (minimal) {
@@ -583,27 +538,23 @@ bool MinimalEngine::MinimalEntails(const Formula& f, const Partition& pqz,
     if (interrupted_) return true;
     // Does any model sharing mm's minimal projection violate F? Such a
     // model is itself minimal (minimality depends only on the projection).
-    // The probe reuses this very context: fixing the (P,Q)-projection to
-    // mm's values satisfies every asserted region block outright (mm was
+    // The probe reuses this very query: fixing the (P,Q)-projection to mm's
+    // values satisfies every asserted region block outright (mm was
     // minimized from a candidate that avoided them), so the blocks cannot
     // constrain the probe and the answer matches a block-free solver.
-    SolveResult pr = ctx.Solve(ProjectionAssumptions(mm, pqz));
-    ++stats_.sat_calls;
-    if (pr == SolveResult::kUnknown) {
-      // Without the probe's verdict we may not exclude this region: doing
-      // so could hide a real counterexample and turn "Unknown" into a
-      // wrong "entailed".
-      MarkInterrupted();
-      return true;
-    }
+    SolveResult pr = q.Solve(ProjectionAssumptions(mm, pqz));
+    // Without the probe's verdict we may not exclude this region: doing so
+    // could hide a real counterexample and turn "Unknown" into a wrong
+    // "entailed".
+    if (pr == SolveResult::kUnknown) return true;
     if (pr == SolveResult::kSat) {
-      if (counterexample != nullptr) *counterexample = s->Model(db_.num_vars());
+      if (counterexample != nullptr) *counterexample = q.Model(db_.num_vars());
       return false;
     }
     // No minimal counterexample in this region: exclude the region.
     std::vector<Lit> block = RegionBlockClause(mm, pqz);
     if (block.empty()) return true;
-    ctx.AddClause(std::move(block));
+    q.AddClause(std::move(block));
   }
 }
 
@@ -611,20 +562,14 @@ bool MinimalEngine::ExistsMinimalModelWith(Lit lit, const Partition& pqz,
                                            Interpretation* witness) {
   if (interrupted_) return false;
   OpScope op(this, "minimal.exists_minimal_with");
-  if (!opts_.use_sessions) return ExistsMinimalModelWithFresh(lit, pqz, witness);
-  oracle::SatSession* s = session();
-  oracle::SatSession::Context ctx(s);
-  ctx.AddUnit(lit);
+  Query q(this);
+  q.AddClause({lit});
   for (;;) {
     ++stats_.cegar_iterations;
-    SolveResult r = ctx.Solve();
-    ++stats_.sat_calls;
-    if (r == SolveResult::kUnknown) {
-      MarkInterrupted();
-      return false;  // placeholder; caller must check interrupted()
-    }
-    if (r != SolveResult::kSat) return false;
-    Interpretation m = s->Model(db_.num_vars());
+    SolveResult r = q.Solve();
+    // Unknown: placeholder answer; the caller must check interrupted().
+    if (r != SolveResult::kSat) return false;  // or: no candidate remains
+    Interpretation m = q.Model(db_.num_vars());
     bool minimal = IsMinimal(m, pqz);
     if (interrupted_) return false;
     if (minimal) {
@@ -634,23 +579,19 @@ bool MinimalEngine::ExistsMinimalModelWith(Lit lit, const Partition& pqz,
     Interpretation mm = Minimize(m, pqz);
     if (interrupted_) return false;
     // Some model with mm's projection satisfying lit would be minimal; the
-    // probe reuses this context (region blocks are vacuous under the
+    // probe reuses this query (region blocks are vacuous under the
     // projection pins, see MinimalEntails).
-    SolveResult pr = ctx.Solve(ProjectionAssumptions(mm, pqz));
-    ++stats_.sat_calls;
-    if (pr == SolveResult::kUnknown) {
-      // Excluding the region without the probe's verdict could hide a real
-      // witness and turn "Unknown" into a wrong "no".
-      MarkInterrupted();
-      return false;
-    }
+    SolveResult pr = q.Solve(ProjectionAssumptions(mm, pqz));
+    // Excluding the region without the probe's verdict could hide a real
+    // witness and turn "Unknown" into a wrong "no".
+    if (pr == SolveResult::kUnknown) return false;
     if (pr == SolveResult::kSat) {
-      if (witness != nullptr) *witness = s->Model(db_.num_vars());
+      if (witness != nullptr) *witness = q.Model(db_.num_vars());
       return true;
     }
     std::vector<Lit> block = RegionBlockClause(mm, pqz);
     if (block.empty()) return false;
-    ctx.AddClause(std::move(block));
+    q.AddClause(std::move(block));
   }
 }
 
@@ -725,386 +666,98 @@ Interpretation MinimalEngine::FreeAtoms(const Partition& pqz) {
 // Query: one mode-transparent oracle call "DB plus a few extras".
 // ---------------------------------------------------------------------------
 
-MinimalEngine::Query::Query(MinimalEngine* engine) : engine_(engine) {
-  if (engine_->opts_.use_sessions) {
-    ctx_ = std::make_unique<oracle::SatSession::Context>(engine_->session());
-  } else {
-    fresh_ = std::make_unique<sat::Solver>();
-    LoadDb(engine_->db_, fresh_.get(), engine_->opts_.budget);
+MinimalEngine::Query::Query(MinimalEngine* engine) : Query(engine, nullptr) {
+  if (fresh_ == nullptr) {
+    own_ctx_.emplace(engine_->session_.get());
+    ctx_ = &*own_ctx_;
+  }
+}
+
+MinimalEngine::Query::Query(MinimalEngine* engine,
+                            oracle::SatSession::Context* ctx)
+    : engine_(engine), ctx_(ctx) {
+  if (engine_->session() != nullptr) return;
+  // Fresh mode: a dedicated solver loaded with the database and the (possibly
+  // null) query budget, so fresh-mode oracle calls honor deadlines too.
+  fresh_ = std::make_unique<sat::Solver>();
+  fresh_->SetBudget(engine_->opts_.budget);
+  fresh_->EnsureVars(engine_->db_.num_vars());
+  // Prefer-false polarity makes the first model found already small, which
+  // shortens minimization loops.
+  fresh_->SetDefaultPolarity(false);
+  for (const auto& cl : engine_->db_.ToCnf()) {
+    fresh_->AddClause(cl.data(), cl.size());
   }
 }
 
 void MinimalEngine::Query::AddClause(std::vector<Lit> lits) {
-  if (ctx_) {
-    ctx_->AddClause(std::move(lits));
-  } else {
+  if (fresh_) {
     fresh_->AddClause(std::move(lits));
+  } else {
+    DD_CHECK(ctx_ != nullptr);
+    ctx_->AddClause(std::move(lits));
   }
 }
 
 void MinimalEngine::Query::AddUnit(Lit l) {
-  if (ctx_) {
+  if (fresh_) {
+    fresh_->AddUnit(l);
+  } else {
     // Units ride as assumptions: no clause garbage, and FailedAssumptions
     // keeps working for callers that inspect it.
     units_.push_back(l);
-  } else {
-    fresh_->AddUnit(l);
   }
 }
 
 Var MinimalEngine::Query::NextVar() const {
-  if (ctx_) return engine_->session_->next_var();
+  if (!fresh_) return engine_->session_->next_var();
   Var solver_next = static_cast<Var>(fresh_->num_vars());
   Var db_next = static_cast<Var>(engine_->db_.num_vars());
   return std::max(solver_next, db_next);
 }
 
 void MinimalEngine::Query::ReserveVars(Var next) {
-  if (ctx_) {
-    engine_->session_->ReserveVars(next);
-  } else {
+  if (fresh_) {
     fresh_->EnsureVars(next);
+  } else {
+    engine_->session_->ReserveVars(next);
   }
+}
+
+Var MinimalEngine::Query::AllocVar() {
+  if (!fresh_) return engine_->session_->AllocVar();
+  Var v = NextVar();
+  fresh_->EnsureVars(v + 1);
+  return v;
 }
 
 sat::SolveResult MinimalEngine::Query::Solve(
     const std::vector<Lit>& extra_assumptions) {
   ++engine_->stats_.sat_calls;
   sat::SolveResult r;
-  if (ctx_) {
-    assumptions_ = units_;
-    assumptions_.insert(assumptions_.end(), extra_assumptions.begin(),
-                        extra_assumptions.end());
-    r = ctx_->Solve(assumptions_);
-  } else {
+  if (fresh_) {
     r = fresh_->Solve(extra_assumptions);
+  } else {
+    const std::vector<Lit>* assumptions = &extra_assumptions;
+    if (!units_.empty()) {
+      assumptions_ = units_;
+      assumptions_.insert(assumptions_.end(), extra_assumptions.begin(),
+                          extra_assumptions.end());
+      assumptions = &assumptions_;
+    }
+    r = ctx_ != nullptr ? ctx_->Solve(*assumptions)
+                        : engine_->session_->Solve(*assumptions);
   }
-  // Auto-latch: semantics call sites test `== kSat` / `== kUnsat` and then
-  // consult engine()->interrupted(); this keeps a kUnknown from ever being
-  // silently folded into either branch.
+  // Auto-latch: call sites test `== kSat` / `== kUnsat` and then consult
+  // interrupted(); this keeps a kUnknown from ever being silently folded
+  // into either branch.
   if (r == sat::SolveResult::kUnknown) engine_->MarkInterrupted();
   return r;
 }
 
 Interpretation MinimalEngine::Query::Model(int n) const {
-  if (ctx_) return engine_->session_->Model(n);
-  return fresh_->Model(n);
-}
-
-// ---------------------------------------------------------------------------
-// Fresh-solver (pre-session) implementations: the --no-sessions baseline,
-// preserved verbatim from the original engine.
-// ---------------------------------------------------------------------------
-
-bool MinimalEngine::HasModelFresh() {
-  Solver s;
-  LoadDb(db_, &s, opts_.budget);
-  SolveResult r = s.Solve();
-  stats_.sat_calls += s.stats().solve_calls;
-  if (r == SolveResult::kUnknown) {
-    MarkInterrupted();
-    return false;
-  }
-  return r == SolveResult::kSat;
-}
-
-std::optional<Interpretation> MinimalEngine::FindModelFresh() {
-  Solver s;
-  LoadDb(db_, &s, opts_.budget);
-  SolveResult r = s.Solve();
-  stats_.sat_calls += s.stats().solve_calls;
-  if (r == SolveResult::kUnknown) {
-    MarkInterrupted();
-    return std::nullopt;
-  }
-  if (r != SolveResult::kSat) return std::nullopt;
-  return s.Model(db_.num_vars());
-}
-
-bool MinimalEngine::IsMinimalFresh(const Interpretation& m,
-                                   const Partition& pqz) {
-  if (!IsModel(m)) return false;
-  // Search a model strictly below m in the <P;Z> preorder: Q fixed to m's
-  // values, every P-atom false in m stays false, some P-atom true in m
-  // becomes false.
-  Solver s;
-  LoadDb(db_, &s, opts_.budget);
-  std::vector<Lit> smaller;
-  for (Var v = 0; v < db_.num_vars(); ++v) {
-    if (pqz.q.Contains(v)) {
-      s.AddUnit(Lit::Make(v, m.Contains(v)));
-    } else if (pqz.p.Contains(v)) {
-      if (m.Contains(v)) {
-        smaller.push_back(Lit::Neg(v));
-      } else {
-        s.AddUnit(Lit::Neg(v));
-      }
-    }
-  }
-  if (smaller.empty()) {
-    // m's P-part is empty: nothing below it.
-    return true;
-  }
-  s.AddClause(std::move(smaller));
-  SolveResult r = s.Solve();
-  stats_.sat_calls += s.stats().solve_calls;
-  if (r == SolveResult::kUnknown) {
-    MarkInterrupted();
-    return false;
-  }
-  return r == SolveResult::kUnsat;
-}
-
-Interpretation MinimalEngine::MinimizeFresh(const Interpretation& m,
-                                            const Partition& pqz) {
-  DD_CHECK(IsModel(m));
-  ++stats_.minimizations;
-  Interpretation cur = m;
-  // Incremental descent: as P-atoms leave the candidate they are pinned
-  // false with permanent units; the "strictly smaller" clause is refreshed
-  // through a fresh selector each round.
-  Solver s;
-  LoadDb(db_, &s, opts_.budget);
-  for (Var v = 0; v < db_.num_vars(); ++v) {
-    if (pqz.q.Contains(v)) s.AddUnit(Lit::Make(v, m.Contains(v)));
-    if (pqz.p.Contains(v) && !m.Contains(v)) s.AddUnit(Lit::Neg(v));
-  }
-  Var next_selector = static_cast<Var>(db_.num_vars());
-  for (;;) {
-    std::vector<Var> true_p;
-    for (Var v : cur.TrueAtoms()) {
-      if (pqz.p.Contains(v)) true_p.push_back(v);
-    }
-    if (true_p.empty()) break;  // nothing left to remove
-    Var sel = next_selector++;
-    s.EnsureVars(sel + 1);
-    std::vector<Lit> clause{Lit::Neg(sel)};
-    for (Var v : true_p) clause.push_back(Lit::Neg(v));
-    s.AddClause(std::move(clause));
-    SolveResult r = s.Solve({Lit::Pos(sel)});
-    if (r == SolveResult::kUnknown) {
-      // Interrupted mid-descent: cur may not be minimal.
-      stats_.sat_calls += s.stats().solve_calls;
-      MarkInterrupted();
-      return cur;
-    }
-    if (r != SolveResult::kSat) break;  // cur is minimal
-    Interpretation found = s.Model(db_.num_vars());
-    // Pin the freshly removed P-atoms false for all later rounds.
-    for (Var v : true_p) {
-      if (!found.Contains(v)) s.AddUnit(Lit::Neg(v));
-    }
-    cur = found;
-  }
-  stats_.sat_calls += s.stats().solve_calls;
-  return cur;
-}
-
-int MinimalEngine::EnumerateMinimalProjectionsFresh(
-    const Partition& pqz, int64_t cap,
-    const std::function<bool(const Interpretation&)>& cb) {
-  Solver s;
-  LoadDb(db_, &s, opts_.budget);
-  int emitted = 0;
-  for (;;) {
-    if (cap >= 0 && emitted >= cap) break;
-    SolveResult r = s.Solve();
-    if (r == SolveResult::kUnknown) {
-      MarkInterrupted();
-      break;  // emitted-so-far is a sound (truncated) prefix
-    }
-    if (r != SolveResult::kSat) break;
-    Interpretation m = s.Model(db_.num_vars());
-    Interpretation mm = Minimize(m, pqz);
-    if (interrupted_) break;  // mm may not be a minimal projection
-    ++emitted;
-    ++stats_.models_enumerated;
-    if (!cb(mm)) break;
-    if (!AddRegionBlock(mm, pqz, &s)) break;  // region = everything
-  }
-  stats_.sat_calls += s.stats().solve_calls;
-  return emitted;
-}
-
-int MinimalEngine::EnumerateAllMinimalModelsFresh(
-    const Partition& pqz, int64_t cap,
-    const std::function<bool(const Interpretation&)>& cb) {
-  // Outer loop over minimal projections; inner loop over Z-completions.
-  int emitted = 0;
-  bool stop = false;
-  EnumerateMinimalProjections(
-      pqz, /*cap=*/-1, [&](const Interpretation& proj) {
-        Solver s;
-        LoadDb(db_, &s, opts_.budget);
-        std::vector<Lit> fixed = ProjectionAssumptions(proj, pqz);
-        for (Lit l : fixed) s.AddUnit(l);
-        for (;;) {
-          if (cap >= 0 && emitted >= cap) {
-            stop = true;
-            break;
-          }
-          SolveResult r = s.Solve();
-          if (r == SolveResult::kUnknown) {
-            MarkInterrupted();
-            stop = true;
-            break;
-          }
-          if (r != SolveResult::kSat) break;
-          Interpretation m = s.Model(db_.num_vars());
-          ++emitted;
-          ++stats_.models_enumerated;
-          if (!cb(m)) {
-            stop = true;
-            break;
-          }
-          // Exclude exactly this Z-completion.
-          std::vector<Lit> diff;
-          for (Var v = 0; v < db_.num_vars(); ++v) {
-            if (pqz.z.Contains(v)) {
-              diff.push_back(m.Contains(v) ? Lit::Neg(v) : Lit::Pos(v));
-            }
-          }
-          if (diff.empty()) break;  // no Z atoms: one completion only
-          s.AddClause(std::move(diff));
-        }
-        stats_.sat_calls += s.stats().solve_calls;
-        return !stop;
-      });
-  return emitted;
-}
-
-bool MinimalEngine::MinimalEntailsFresh(const Formula& f, const Partition& pqz,
-                                        Interpretation* counterexample) {
-  // Counterexample search: a <P;Z>-minimal model of DB violating F.
-  Solver s;
-  LoadDb(db_, &s, opts_.budget);
-  Var next = static_cast<Var>(db_.num_vars());
-  std::vector<std::vector<Lit>> fcnf;
-  Lit fl = TseitinEncode(f, &next, &fcnf);
-  s.EnsureVars(next);
-  for (auto& cl : fcnf) s.AddClause(std::move(cl));
-  s.AddUnit(~fl);  // assert ~F
-
-  for (;;) {
-    ++stats_.cegar_iterations;
-    SolveResult r = s.Solve();
-    if (r == SolveResult::kUnknown) {
-      stats_.sat_calls += s.stats().solve_calls;
-      MarkInterrupted();
-      return true;  // placeholder; caller must check interrupted()
-    }
-    if (r != SolveResult::kSat) {
-      stats_.sat_calls += s.stats().solve_calls;
-      return true;  // no counterexample candidate remains
-    }
-    Interpretation m = s.Model(db_.num_vars());
-    bool minimal = IsMinimal(m, pqz);
-    if (interrupted_) {
-      stats_.sat_calls += s.stats().solve_calls;
-      return true;
-    }
-    if (minimal) {
-      stats_.sat_calls += s.stats().solve_calls;
-      if (counterexample != nullptr) *counterexample = m;
-      return false;  // m is a minimal model with ~F
-    }
-    Interpretation mm = Minimize(m, pqz);
-    if (interrupted_) {
-      stats_.sat_calls += s.stats().solve_calls;
-      return true;
-    }
-    // Does any model sharing mm's minimal projection violate F? Such a
-    // model is itself minimal (minimality depends only on the projection).
-    {
-      Solver probe;
-      LoadDb(db_, &probe, opts_.budget);
-      Var pn = static_cast<Var>(db_.num_vars());
-      std::vector<std::vector<Lit>> pcnf;
-      Lit pl = TseitinEncode(f, &pn, &pcnf);
-      probe.EnsureVars(pn);
-      for (auto& cl : pcnf) probe.AddClause(std::move(cl));
-      probe.AddUnit(~pl);
-      SolveResult pr = probe.Solve(ProjectionAssumptions(mm, pqz));
-      stats_.sat_calls += probe.stats().solve_calls;
-      if (pr == SolveResult::kUnknown) {
-        // Excluding the region without the probe's verdict could hide a
-        // real counterexample (wrong "entailed").
-        stats_.sat_calls += s.stats().solve_calls;
-        MarkInterrupted();
-        return true;
-      }
-      if (pr == SolveResult::kSat) {
-        stats_.sat_calls += s.stats().solve_calls;
-        if (counterexample != nullptr) {
-          *counterexample = probe.Model(db_.num_vars());
-        }
-        return false;
-      }
-    }
-    // No minimal counterexample in this region: exclude the region.
-    if (!AddRegionBlock(mm, pqz, &s)) {
-      stats_.sat_calls += s.stats().solve_calls;
-      return true;
-    }
-  }
-}
-
-bool MinimalEngine::ExistsMinimalModelWithFresh(Lit lit, const Partition& pqz,
-                                                Interpretation* witness) {
-  Solver s;
-  LoadDb(db_, &s, opts_.budget);
-  s.AddUnit(lit);
-  for (;;) {
-    ++stats_.cegar_iterations;
-    SolveResult r = s.Solve();
-    if (r == SolveResult::kUnknown) {
-      stats_.sat_calls += s.stats().solve_calls;
-      MarkInterrupted();
-      return false;  // placeholder; caller must check interrupted()
-    }
-    if (r != SolveResult::kSat) {
-      stats_.sat_calls += s.stats().solve_calls;
-      return false;
-    }
-    Interpretation m = s.Model(db_.num_vars());
-    bool minimal = IsMinimal(m, pqz);
-    if (interrupted_) {
-      stats_.sat_calls += s.stats().solve_calls;
-      return false;
-    }
-    if (minimal) {
-      stats_.sat_calls += s.stats().solve_calls;
-      if (witness != nullptr) *witness = m;
-      return true;
-    }
-    Interpretation mm = Minimize(m, pqz);
-    if (interrupted_) {
-      stats_.sat_calls += s.stats().solve_calls;
-      return false;
-    }
-    // Some model with mm's projection satisfying lit would be minimal.
-    {
-      Solver probe;
-      LoadDb(db_, &probe, opts_.budget);
-      probe.AddUnit(lit);
-      SolveResult pr = probe.Solve(ProjectionAssumptions(mm, pqz));
-      stats_.sat_calls += probe.stats().solve_calls;
-      if (pr == SolveResult::kUnknown) {
-        stats_.sat_calls += s.stats().solve_calls;
-        MarkInterrupted();
-        return false;
-      }
-      if (pr == SolveResult::kSat) {
-        stats_.sat_calls += s.stats().solve_calls;
-        if (witness != nullptr) *witness = probe.Model(db_.num_vars());
-        return true;
-      }
-    }
-    if (!AddRegionBlock(mm, pqz, &s)) {
-      stats_.sat_calls += s.stats().solve_calls;
-      return false;
-    }
-  }
+  if (fresh_) return fresh_->Model(n);
+  return engine_->session_->Model(n);
 }
 
 }  // namespace dd

@@ -19,8 +19,9 @@
 // afterwards; minimality verdicts/certificates are memoized on (P,Q)
 // projections; and minimal-projection enumeration keeps its blocking
 // clauses alive between calls so repeated Σ₂ᵖ oracle invocations replay
-// instead of recompute. MinimalOptions{use_sessions=false} restores the
-// historical fresh-solver-per-call regime (the benches' --no-sessions A/B
+// instead of recompute. MinimalOptions{use_sessions=false} runs the same
+// algorithms — every operation has one body, written over Query — with a
+// dedicated solver per query and no memos (the benches' --no-sessions A/B
 // baseline); answers are identical in both modes. See docs/ORACLE.md.
 #ifndef DD_MINIMAL_MINIMAL_MODELS_H_
 #define DD_MINIMAL_MINIMAL_MODELS_H_
@@ -80,7 +81,7 @@ struct MinimalStats {
 /// Engine-level tuning.
 struct MinimalOptions {
   /// Route oracle calls through one persistent incremental session
-  /// (src/oracle/sat_session.h) instead of a fresh solver per call.
+  /// (src/oracle/sat_session.h) instead of a dedicated solver per query.
   bool use_sessions = true;
 
   /// Shared query budget (deadline / conflict / oracle-call limits); null
@@ -155,8 +156,6 @@ class MinimalEngine {
   /// spawns helper engines, e.g. per-reduct stability checks).
   void AbsorbStats(const MinimalStats& s) { stats_.Add(s); }
 
-  bool sessions_enabled() const { return opts_.use_sessions; }
-
   // --- Budget / interrupt protocol -----------------------------------------
   //
   // When an oracle call reports kUnknown (budget exhaustion or fault
@@ -195,10 +194,6 @@ class MinimalEngine {
 
   /// Session-reuse accounting (zeroed in fresh-solver mode).
   oracle::SessionStats session_stats() const;
-
-  /// The engine's session, created on first use (nullptr when sessions are
-  /// disabled). Clients with bespoke oracle calls prefer Query below.
-  oracle::SatSession* session();
 
   /// Classical satisfiability of the database (one SAT call; memoized in
   /// session mode).
@@ -273,8 +268,9 @@ class MinimalEngine {
   /// One classical oracle call over DB plus query-scoped clauses/units,
   /// mode-transparent: in session mode it is an activation-guarded context
   /// on the engine's persistent solver; in fresh mode it is a dedicated
-  /// solver pre-loaded with the database. Used by the CWA-family semantics
-  /// and UMINSAT, whose oracle calls are "DB plus a few extras".
+  /// solver pre-loaded with the database. Every engine operation runs its
+  /// oracle calls through it, and so do the CWA-family semantics and
+  /// UMINSAT, whose oracle calls are "DB plus a few extras".
   class Query {
    public:
     explicit Query(MinimalEngine* engine);
@@ -290,17 +286,27 @@ class MinimalEngine {
     Var NextVar() const;
     /// Registers externally allocated variables up to `next`.
     void ReserveVars(Var next);
+    /// Allocates one fresh variable (e.g. a clause selector).
+    Var AllocVar();
     /// Solves DB ∪ scoped clauses ∪ scoped units under extra assumptions.
     /// Counts one NP-oracle call in the engine's stats.
     sat::SolveResult Solve(const std::vector<Lit>& extra_assumptions = {});
     Interpretation Model(int n) const;
 
    private:
+    friend class MinimalEngine;
+    /// Session mode: runs inside `ctx`, a caller-owned context that outlives
+    /// the query (a memoized projection stream's), or on the bare session
+    /// when `ctx` is null (no clauses may be added then). Fresh mode
+    /// ignores `ctx` and loads a dedicated solver as always.
+    Query(MinimalEngine* engine, oracle::SatSession::Context* ctx);
+
     MinimalEngine* engine_;
-    std::unique_ptr<oracle::SatSession::Context> ctx_;  // session mode
-    std::unique_ptr<sat::Solver> fresh_;                // fresh mode
-    std::vector<Lit> units_;       // session mode: assumption units
-    std::vector<Lit> assumptions_; // reusable solve buffer
+    std::optional<oracle::SatSession::Context> own_ctx_;
+    oracle::SatSession::Context* ctx_;    // session mode; null = bare session
+    std::unique_ptr<sat::Solver> fresh_;  // fresh mode
+    std::vector<Lit> units_;        // session mode: assumption units
+    std::vector<Lit> assumptions_;  // reusable solve buffer
   };
 
  private:
@@ -328,22 +334,9 @@ class MinimalEngine {
     oracle::SessionStats sess_before_;
   };
 
-  // Fresh-solver (pre-session) implementations, preserved verbatim for the
-  // --no-sessions A/B baseline.
-  bool HasModelFresh();
-  std::optional<Interpretation> FindModelFresh();
-  bool IsMinimalFresh(const Interpretation& m, const Partition& pqz);
-  Interpretation MinimizeFresh(const Interpretation& m, const Partition& pqz);
-  int EnumerateMinimalProjectionsFresh(
-      const Partition& pqz, int64_t cap,
-      const std::function<bool(const Interpretation&)>& cb);
-  int EnumerateAllMinimalModelsFresh(
-      const Partition& pqz, int64_t cap,
-      const std::function<bool(const Interpretation&)>& cb);
-  bool MinimalEntailsFresh(const Formula& f, const Partition& pqz,
-                           Interpretation* counterexample);
-  bool ExistsMinimalModelWithFresh(Lit lit, const Partition& pqz,
-                                   Interpretation* witness);
+  /// The engine's session, created on first use (nullptr when sessions are
+  /// disabled, which is how Query picks its solver).
+  oracle::SatSession* session();
 
   /// Latches the interrupt flag and derives interrupt_status_ from the
   /// budget (or a generic ResourceExhausted for injected faults).

@@ -22,13 +22,15 @@ ProjectionStream* ProjectionStore::GetStream(const Partition& pqz) {
     }
   }
   if (cap_ > 0 && static_cast<int64_t>(streams_.size()) >= cap_) {
-    // Evict the least-recently-used stream. Its kept context stays inert in
-    // the session; a later request for its partition re-enumerates the
-    // identical stream from scratch.
+    // Evict the least-recently-used stream. Retracting its kept context
+    // leaves its region blocks as satisfied garbage in the session; a later
+    // request for its partition re-enumerates the identical stream from
+    // scratch.
     size_t lru = 0;
     for (size_t i = 1; i < streams_.size(); ++i) {
       if (streams_[i]->last_used < streams_[lru]->last_used) lru = i;
     }
+    if (streams_[lru]->ctx) streams_[lru]->ctx->Retract();
     if (lru != streams_.size() - 1) {
       streams_[lru] = std::move(streams_.back());
     }

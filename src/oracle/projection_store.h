@@ -19,10 +19,11 @@
 // its projections plus a kept session context for the life of the store —
 // unbounded growth is a leak under long-lived batch servers that sweep
 // many partitions). Eviction is LRU by GetStream access. Dropping a stream
-// is sound: its kept context stays inert in the session (guarded clauses
-// constrain nothing without their activation assumption), and a later
-// GetStream simply re-enumerates from scratch — deterministically the same
-// stream. Evictions are counted (dd.oracle.cache_evictions).
+// is sound: eviction retracts its kept context by the unit ¬act alone, which
+// satisfies its region blocks for good without touching the variables of
+// streams still live, and a later GetStream simply re-enumerates from
+// scratch — deterministically the same stream. Evictions are counted
+// (dd.oracle.cache_evictions).
 #ifndef DD_ORACLE_PROJECTION_STORE_H_
 #define DD_ORACLE_PROJECTION_STORE_H_
 

@@ -66,6 +66,11 @@ SatSession::Context::~Context() {
   ++session_->stats_.contexts_retired;
 }
 
+void SatSession::Context::Retract() {
+  session_->solver_.AddUnit(Lit::Neg(act_));
+  ++session_->stats_.contexts_retired;
+}
+
 void SatSession::Context::AddClause(std::vector<Lit> lits) {
   AddClause(lits.data(), lits.size());
 }

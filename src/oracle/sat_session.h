@@ -158,6 +158,12 @@ class SatSession {
     /// group then only constrains solves that assume its activation.
     void Keep() { keep_ = true; }
 
+    /// Retires a kept group by its activation alone: the unit ¬act
+    /// satisfies its clauses for good and fixes its activation variable.
+    /// No variable window is pinned — a kept group's window holds the
+    /// variables of contexts opened after it, which may still be live.
+    void Retract();
+
    private:
     SatSession* session_;
     Var act_;

@@ -49,9 +49,10 @@ struct SemanticsOptions {
   /// identical to the generic path; off forces the generic engines.
   bool analysis_dispatch = true;
   /// Route NP-oracle calls through one persistent incremental session per
-  /// database (src/oracle/sat_session.h) instead of a fresh solver per
-  /// call. Answers are identical in both modes; off restores the
-  /// historical baseline (the benches' --no-sessions A/B leg).
+  /// database (src/oracle/sat_session.h) instead of a dedicated solver per
+  /// query. Answers are identical in both modes; off runs the same
+  /// algorithms without the session's memos (the benches' --no-sessions
+  /// A/B leg, docs/ORACLE.md).
   bool use_sessions = true;
   /// Worker threads for the parallel helpers (bulk minimality checks, DDR
   /// expansion rounds, PWS split scanning). Results are bit-identical for

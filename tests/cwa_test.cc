@@ -126,7 +126,7 @@ TEST(Cwa, ReasonerIntegration) {
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(*r->HasModel(SemanticsKind::kCwa));
   EXPECT_TRUE(*r->HasModel(SemanticsKind::kGcwa));
-  EXPECT_EQ(r->Get(SemanticsKind::kCwa)->name(), "CWA");
+  EXPECT_EQ(MakeSemantics(SemanticsKind::kCwa, r->db())->name(), "CWA");
 }
 
 }  // namespace

@@ -42,6 +42,14 @@ Partition RandomPartition(Rng* rng, int n) {
   return p;
 }
 
+// The two engine modes: persistent session with memos, and a dedicated
+// solver per oracle call with none. Answers must agree.
+MinimalOptions Mode(bool sessions) {
+  MinimalOptions o;
+  o.use_sessions = sessions;
+  return o;
+}
+
 Database RandomTestDb(Rng* rng, bool allow_negation) {
   DdbConfig cfg;
   cfg.num_vars = 4 + static_cast<int>(rng->Below(4));  // 4..7
@@ -97,100 +105,128 @@ TEST(MinimalEngine, MinimizeReachesAMinimalModelBelow) {
 }
 
 TEST(MinimalEngine, EnumerateMinimalModelsMatchesBruteForce) {
-  Rng rng(777);
-  for (int iter = 0; iter < 120; ++iter) {
-    Database db = RandomTestDb(&rng, /*allow_negation=*/true);
-    MinimalEngine e(db);
-    Partition all = Partition::MinimizeAll(db.num_vars());
-    std::vector<Interpretation> got;
-    e.EnumerateMinimalProjections(all, -1, [&](const Interpretation& m) {
-      got.push_back(m);
-      return true;
-    });
-    auto expected = brute::MinimalModels(db);
-    ASSERT_EQ(ModelSet(got), ModelSet(expected)) << db.ToString();
+  for (bool sessions : {true, false}) {
+    SCOPED_TRACE(sessions ? "sessions" : "fresh");
+    Rng rng(777);
+    for (int iter = 0; iter < 120; ++iter) {
+      Database db = RandomTestDb(&rng, /*allow_negation=*/true);
+      MinimalEngine e(db, Mode(sessions));
+      Partition all = Partition::MinimizeAll(db.num_vars());
+      std::vector<Interpretation> got;
+      e.EnumerateMinimalProjections(all, -1, [&](const Interpretation& m) {
+        got.push_back(m);
+        return true;
+      });
+      auto expected = brute::MinimalModels(db);
+      ASSERT_EQ(ModelSet(got), ModelSet(expected)) << db.ToString();
+    }
   }
 }
 
 TEST(MinimalEngine, EnumerateAllPqzMinimalMatchesBruteForce) {
-  Rng rng(888);
-  for (int iter = 0; iter < 120; ++iter) {
-    Database db = RandomTestDb(&rng, /*allow_negation=*/true);
-    MinimalEngine e(db);
-    Partition pqz = RandomPartition(&rng, db.num_vars());
-    std::vector<Interpretation> got;
-    e.EnumerateAllMinimalModels(pqz, -1, [&](const Interpretation& m) {
-      got.push_back(m);
-      return true;
-    });
-    auto expected = brute::PqzMinimalModels(db, pqz);
-    ASSERT_EQ(ModelSet(got), ModelSet(expected)) << db.ToString();
+  for (bool sessions : {true, false}) {
+    SCOPED_TRACE(sessions ? "sessions" : "fresh");
+    Rng rng(888);
+    for (int iter = 0; iter < 120; ++iter) {
+      Database db = RandomTestDb(&rng, /*allow_negation=*/true);
+      MinimalEngine e(db, Mode(sessions));
+      Partition pqz = RandomPartition(&rng, db.num_vars());
+      std::vector<Interpretation> got;
+      e.EnumerateAllMinimalModels(pqz, -1, [&](const Interpretation& m) {
+        got.push_back(m);
+        return true;
+      });
+      auto expected = brute::PqzMinimalModels(db, pqz);
+      ASSERT_EQ(ModelSet(got), ModelSet(expected)) << db.ToString();
+    }
   }
 }
 
 TEST(MinimalEngine, IsMinimalAgreesWithBruteForceUnderPqz) {
-  Rng rng(999);
-  for (int iter = 0; iter < 80; ++iter) {
-    Database db = RandomTestDb(&rng, /*allow_negation=*/true);
-    MinimalEngine e(db);
-    Partition pqz = RandomPartition(&rng, db.num_vars());
-    auto minimal = ModelSet(brute::PqzMinimalModels(db, pqz));
-    for (const auto& m : brute::AllModels(db)) {
-      ASSERT_EQ(e.IsMinimal(m, pqz), minimal.count(m) > 0) << db.ToString();
+  for (bool sessions : {true, false}) {
+    SCOPED_TRACE(sessions ? "sessions" : "fresh");
+    Rng rng(999);
+    for (int iter = 0; iter < 80; ++iter) {
+      Database db = RandomTestDb(&rng, /*allow_negation=*/true);
+      MinimalEngine e(db, Mode(sessions));
+      Partition pqz = RandomPartition(&rng, db.num_vars());
+      auto minimal = ModelSet(brute::PqzMinimalModels(db, pqz));
+      for (const auto& m : brute::AllModels(db)) {
+        ASSERT_EQ(e.IsMinimal(m, pqz), minimal.count(m) > 0) << db.ToString();
+      }
     }
   }
 }
 
 TEST(MinimalEngine, MinimalEntailsMatchesBruteForce) {
-  Rng rng(1234);
-  for (int iter = 0; iter < 150; ++iter) {
-    Database db = RandomTestDb(&rng, /*allow_negation=*/true);
-    MinimalEngine e(db);
-    Partition pqz = RandomPartition(&rng, db.num_vars());
-    Formula f = testing::RandomFormula(&rng, db.num_vars(), 3);
-    bool got = e.MinimalEntails(f, pqz);
-    bool expected = brute::Infers(brute::PqzMinimalModels(db, pqz), f);
-    ASSERT_EQ(got, expected) << db.ToString() << "\nF = "
-                             << f->ToString(db.vocabulary());
+  for (bool sessions : {true, false}) {
+    SCOPED_TRACE(sessions ? "sessions" : "fresh");
+    Rng rng(1234);
+    for (int iter = 0; iter < 150; ++iter) {
+      Database db = RandomTestDb(&rng, /*allow_negation=*/true);
+      MinimalEngine e(db, Mode(sessions));
+      Partition pqz = RandomPartition(&rng, db.num_vars());
+      Formula f = testing::RandomFormula(&rng, db.num_vars(), 3);
+      Interpretation counterexample;
+      bool got = e.MinimalEntails(f, pqz, &counterexample);
+      const std::vector<Interpretation> minimal =
+          brute::PqzMinimalModels(db, pqz);
+      bool expected = brute::Infers(minimal, f);
+      ASSERT_EQ(got, expected) << db.ToString() << "\nF = "
+                               << f->ToString(db.vocabulary());
+      if (!got) {
+        // The counterexample (from the main loop or the projection probe)
+        // is a <P;Z>-minimal model that violates F.
+        ASSERT_EQ(ModelSet(minimal).count(counterexample), 1u)
+            << db.ToString();
+        ASSERT_FALSE(f->Eval(counterexample)) << db.ToString();
+      }
+    }
   }
 }
 
 TEST(MinimalEngine, ExistsMinimalModelWithMatchesBruteForce) {
-  Rng rng(4321);
-  for (int iter = 0; iter < 150; ++iter) {
-    Database db = RandomTestDb(&rng, /*allow_negation=*/true);
-    MinimalEngine e(db);
-    Partition pqz = RandomPartition(&rng, db.num_vars());
-    Lit l = Lit::Make(static_cast<Var>(rng.Below(db.num_vars())),
-                      rng.Chance(0.5));
-    Interpretation witness;
-    bool got = e.ExistsMinimalModelWith(l, pqz, &witness);
-    bool expected = false;
-    for (const auto& m : brute::PqzMinimalModels(db, pqz)) {
-      if (m.Satisfies(l)) expected = true;
-    }
-    ASSERT_EQ(got, expected) << db.ToString();
-    if (got) {
-      ASSERT_TRUE(witness.Satisfies(l));
-      ASSERT_TRUE(e.IsMinimal(witness, pqz));
+  for (bool sessions : {true, false}) {
+    SCOPED_TRACE(sessions ? "sessions" : "fresh");
+    Rng rng(4321);
+    for (int iter = 0; iter < 150; ++iter) {
+      Database db = RandomTestDb(&rng, /*allow_negation=*/true);
+      MinimalEngine e(db, Mode(sessions));
+      Partition pqz = RandomPartition(&rng, db.num_vars());
+      Lit l = Lit::Make(static_cast<Var>(rng.Below(db.num_vars())),
+                        rng.Chance(0.5));
+      Interpretation witness;
+      bool got = e.ExistsMinimalModelWith(l, pqz, &witness);
+      bool expected = false;
+      for (const auto& m : brute::PqzMinimalModels(db, pqz)) {
+        if (m.Satisfies(l)) expected = true;
+      }
+      ASSERT_EQ(got, expected) << db.ToString();
+      if (got) {
+        ASSERT_TRUE(witness.Satisfies(l));
+        ASSERT_TRUE(e.IsMinimal(witness, pqz));
+      }
     }
   }
 }
 
 TEST(MinimalEngine, FreeAtomsMatchesBruteForce) {
-  Rng rng(31337);
-  for (int iter = 0; iter < 100; ++iter) {
-    Database db = RandomTestDb(&rng, /*allow_negation=*/true);
-    MinimalEngine e(db);
-    Partition pqz = RandomPartition(&rng, db.num_vars());
-    Interpretation free = e.FreeAtoms(pqz);
-    Interpretation expected(db.num_vars());
-    for (const auto& m : brute::PqzMinimalModels(db, pqz)) {
-      for (Var v : m.TrueAtoms()) {
-        if (pqz.p.Contains(v)) expected.Insert(v);
+  for (bool sessions : {true, false}) {
+    SCOPED_TRACE(sessions ? "sessions" : "fresh");
+    Rng rng(31337);
+    for (int iter = 0; iter < 100; ++iter) {
+      Database db = RandomTestDb(&rng, /*allow_negation=*/true);
+      MinimalEngine e(db, Mode(sessions));
+      Partition pqz = RandomPartition(&rng, db.num_vars());
+      Interpretation free = e.FreeAtoms(pqz);
+      Interpretation expected(db.num_vars());
+      for (const auto& m : brute::PqzMinimalModels(db, pqz)) {
+        for (Var v : m.TrueAtoms()) {
+          if (pqz.p.Contains(v)) expected.Insert(v);
+        }
       }
+      ASSERT_EQ(free, expected) << db.ToString();
     }
-    ASSERT_EQ(free, expected) << db.ToString();
   }
 }
 

@@ -178,6 +178,23 @@ TEST(OracleSessionTest, KeptContextPersistsUnderItsActivation) {
   EXPECT_EQ(session.Solve({act}), sat::SolveResult::kUnsat);
 }
 
+// Retract(): a kept group retired by its activation alone binds nothing
+// afterwards, and a kept group opened after it stays live.
+TEST(OracleSessionTest, RetractedKeptContextLeavesLaterGroupsLive) {
+  Database db = testing::Db("a | b.");
+  oracle::SatSession session(db);
+  oracle::SatSession::Context first(&session);
+  first.Keep();
+  first.AddClause({Lit::Neg(0)});
+  oracle::SatSession::Context second(&session);
+  second.Keep();
+  second.AddClause({Lit::Neg(1)});
+  first.Retract();
+  EXPECT_EQ(session.Solve({first.activation()}), sat::SolveResult::kUnsat);
+  EXPECT_EQ(second.Solve(), sat::SolveResult::kSat);
+  EXPECT_EQ(session.stats().contexts_retired, 1);
+}
+
 // Memoized minimality: the second identical IsMinimal answers from the
 // cache with zero additional solver calls.
 TEST(OracleSessionTest, MinimalityVerdictsAreMemoized) {
@@ -222,6 +239,47 @@ TEST(OracleSessionTest, EnumerationReplaysWithoutSolverCalls) {
   EXPECT_EQ(engine.stats().sat_calls, sat_after_first)
       << "replay of an exhausted stream must be SAT-free";
   EXPECT_GT(engine.session_stats().projections_replayed, 0);
+}
+
+// Evicting a projection stream must not disturb the streams still live:
+// B's half-finished stream resumes after A's eviction and still finds all
+// of B's minimal projections.
+TEST(OracleSessionTest, StreamEvictionKeepsLiveStreamsResumable) {
+  Database db = testing::Db("a | b. c | d. e | f.");
+  const int n = db.num_vars();
+  auto with_z = [n](Var z) {
+    Partition p;
+    p.p = Interpretation(n);
+    p.q = Interpretation(n);
+    p.z = Interpretation(n);
+    for (Var v = 0; v < n; ++v) {
+      if (v == z) {
+        p.z.Insert(v);
+      } else {
+        p.p.Insert(v);
+      }
+    }
+    return p;
+  };
+  const Partition a = Partition::MinimizeAll(n);
+  const Partition b = with_z(5);
+  const Partition c = with_z(4);
+  auto count = [](MinimalEngine* e, const Partition& p, int64_t cap) {
+    return e->EnumerateMinimalProjections(
+        p, cap, [](const Interpretation&) { return true; });
+  };
+  MinimalEngine reference(db);
+  const int want = count(&reference, b, -1);
+  ASSERT_GT(want, 1);
+
+  MinimalOptions mo;
+  mo.projection_stream_cap = 2;
+  MinimalEngine engine(db, mo);
+  count(&engine, a, 1);
+  count(&engine, b, 1);
+  count(&engine, c, 1);  // evicts a's stream
+  EXPECT_EQ(engine.session_stats().cache_evictions, 1);
+  EXPECT_EQ(count(&engine, b, -1), want);
 }
 
 // CCWA (partitioned counting) is also mode-invariant, including under a

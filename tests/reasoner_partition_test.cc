@@ -60,10 +60,17 @@ TEST(ReasonerPartition, ResetRebuildsEngines) {
   EXPECT_TRUE(*r->InfersFormula(SemanticsKind::kEcwa, "~b"));
   ASSERT_TRUE(r->SetPartition({"a"}, {"b"}, {}).ok());
   EXPECT_FALSE(*r->InfersFormula(SemanticsKind::kEcwa, "~b"));
-  // Unrelated engines survive repartitioning.
-  Semantics* gcwa = r->Get(SemanticsKind::kGcwa);
+  // Unrelated engines survive repartitioning: a GCWA query after the
+  // repartition runs on the cached engine and loads no database. Dispatch
+  // off keeps the Horn program's GCWA queries on the generic engine.
+  r->set_analysis_dispatch(false);
+  const int64_t before = r->TotalSessionStats().base_loads;
+  EXPECT_TRUE(*r->InfersLiteral(SemanticsKind::kGcwa, "not b"));
+  const int64_t loads = r->TotalSessionStats().base_loads;
+  EXPECT_GT(loads, before);
   ASSERT_TRUE(r->SetPartition({"b"}, {"a"}, {}).ok());
-  EXPECT_EQ(gcwa, r->Get(SemanticsKind::kGcwa));
+  EXPECT_TRUE(*r->InfersLiteral(SemanticsKind::kGcwa, "not a"));
+  EXPECT_EQ(r->TotalSessionStats().base_loads, loads);
 }
 
 }  // namespace

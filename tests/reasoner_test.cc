@@ -1,6 +1,7 @@
 #include "core/reasoner.h"
 
 #include "gtest/gtest.h"
+#include "semantics/semantics.h"
 #include "tests/test_util.h"
 
 namespace dd {
@@ -39,12 +40,19 @@ TEST(Reasoner, FreshQueryAtomsAreClosedOff) {
 }
 
 TEST(Reasoner, EnginesAreCachedPerKind) {
-  auto r = Reasoner::FromProgram("a | b.");
+  // A head cycle keeps DSM off the polynomial fast path, so queries run on
+  // the cached generic engine and its oracle session.
+  auto r = Reasoner::FromProgram("a | b. a :- b. b :- a.");
   ASSERT_TRUE(r.ok());
-  Semantics* first = r->Get(SemanticsKind::kDsm);
-  Semantics* second = r->Get(SemanticsKind::kDsm);
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(first->name(), "DSM");
+  // The first query builds the engine and loads its session; repeat
+  // queries on the cached engine load no further database.
+  EXPECT_TRUE(*r->InfersLiteral(SemanticsKind::kDsm, "a"));
+  const int64_t loads = r->TotalSessionStats().base_loads;
+  EXPECT_GT(loads, 0);
+  EXPECT_TRUE(*r->InfersLiteral(SemanticsKind::kDsm, "a"));
+  EXPECT_TRUE(*r->InfersFormula(SemanticsKind::kDsm, "a & b"));
+  EXPECT_EQ(r->TotalSessionStats().base_loads, loads);
+  EXPECT_EQ(MakeSemantics(SemanticsKind::kDsm, r->db())->name(), "DSM");
 }
 
 TEST(Reasoner, ModelsAndStats) {
