@@ -16,26 +16,50 @@
 //      batch rebuilds its group banks), answer cache disabled in both
 //      legs so the store is the only lever. GCWA/EGCWA at batch size
 //      256; the audit requires warm to beat cold by >= 2x from the
-//      second round on, with byte-identical answers.
+//      second round on, with byte-identical answers;
+//   5. group-size sweep — one group of 1, 2, 3, 4 or 8 literal queries
+//      per semantics and mode, over the largest module of the section-1
+//      database, timed in five legs: the group alone through
+//      batch::EvaluateGroup as a new bank ("bank") and per query
+//      ("direct"), and end to end through AnswerBatch with default
+//      options ("planned") and with model_bank_cap = 0 ("no_banks"),
+//      and through the sequential entry points ("sequential"). This is
+//      the table that sets batch::kMinBankGroup (docs/BATCHING.md §3).
+//
+// Repeated rows (section 5, and the batch-of-one rows of section 1) run
+// every leg kReps times on fresh reasoners, reversing the leg order on
+// every other repetition so host drift within a row falls on all legs
+// alike, and time each call from outside with a steady clock, as
+// perfbench's harness does. Their "legs" object holds each leg's median
+// and quartiles; wall_ms and phases hold the medians.
 //
 // The printed tables report wall-clock for both legs and the amortized
 // speedup; the built-in audit asserts, for every row, that (a) the batch
 // answers are identical to the sequential answers wherever both are
-// definite and (b) the answer cache holds no kUnknown entry — a violation
-// exits nonzero, so the harness doubles as an end-to-end soundness check.
+// definite (in section 5: all five legs give equal answers) and (b) the
+// answer cache holds no kUnknown entry — a violation prints
+// "AUDIT FAILURE" and exits nonzero, so the harness doubles as an
+// end-to-end soundness check.
 //
 // Flags: --seed=N --threads=N --timeout-ms=N (see bench_util.h; the
 // timeout bounds each leg per row — the batch leg via the whole-batch
 // budget, the sequential leg via an elapsed-time watchdog — and marks cut
-// rows "timeout": true). Results land in BENCH_batch.json (schema 2) for
-// scripts/run_experiments.sh.
+// rows "timeout": true, naming the cut leg in "timeout_leg": "batch",
+// "sequential", "both" or "none"). Results land in BENCH_batch.json
+// (schema 2) for scripts/run_experiments.sh.
 #include <cstdio>
+#include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "analysis/dispatch.h"
+#include "analysis/slicer.h"
 #include "bench/bench_util.h"
 #include "batch/query_batch.h"
 #include "core/reasoner.h"
+#include "logic/parser.h"
 #include "gen/generators.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -47,6 +71,7 @@ namespace {
 using bench::BenchArgs;
 using bench::BenchJsonWriter;
 using bench::BenchRecord;
+using bench::Quantile;
 
 /// Instance shape per semantics: positive deductive databases keep all
 /// eleven applicable; the Σ₂ᵖ-flavoured and enumeration-heavy kinds get
@@ -67,6 +92,32 @@ const KindCfg kKinds[] = {
 };
 
 const int kBatchSizes[] = {1, 16, 256, 4096};
+
+/// Repetitions per leg of a repeated row.
+constexpr int kReps = 15;
+
+/// Runs every leg `reps` times, reversing the leg order on odd
+/// repetitions. Each leg sets itself up (a fresh Reasoner), times its own
+/// measured block and returns that wall time in ms; the result holds one
+/// sample vector per leg.
+std::vector<std::vector<double>> Alternate(
+    int reps, const std::vector<std::function<double()>>& legs) {
+  std::vector<std::vector<double>> ms(legs.size());
+  for (int rep = 0; rep < reps; ++rep) {
+    for (size_t k = 0; k < legs.size(); ++k) {
+      const size_t leg = rep % 2 == 0 ? k : legs.size() - 1 - k;
+      ms[leg].push_back(legs[leg]());
+    }
+  }
+  return ms;
+}
+
+/// "none", "batch", "sequential" or "both": which legs the watchdog cut.
+const char* TimeoutLeg(bool batch, bool sequential) {
+  if (batch && sequential) return "both";
+  if (batch) return "batch";
+  return sequential ? "sequential" : "none";
+}
 
 /// A random literal workload: n queries drawn uniformly over both
 /// polarities of the database's atoms. Large n repeats queries heavily —
@@ -119,6 +170,65 @@ void Audit(bool ok, const char* what, const char* kind, int n) {
   }
 }
 
+/// The atoms of the database's largest module (ties: lowest module id),
+/// ascending: queries over them all plan into one group.
+std::vector<Var> LargestModuleAtoms(const analysis::Slicer& slicer) {
+  const std::vector<int>& ids = slicer.module_ids();
+  std::vector<int> sizes(slicer.num_modules(), 0);
+  for (int id : ids) ++sizes[id];
+  const int best = static_cast<int>(
+      std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
+  std::vector<Var> atoms;
+  for (size_t v = 0; v < ids.size(); ++v) {
+    if (ids[v] == best) atoms.push_back(static_cast<Var>(v));
+  }
+  return atoms;
+}
+
+/// `size` distinct literal queries over `atoms`: p, ~p for the first atom,
+/// then the next, and so on.
+std::vector<batch::BatchQuery> SweepQueries(const std::vector<Var>& atoms,
+                                            int size, const Vocabulary& voc) {
+  std::vector<batch::BatchQuery> qs;
+  for (int i = 0; i < size; ++i) {
+    const std::string& name = voc.Name(atoms[(i / 2) % atoms.size()]);
+    qs.push_back({i % 2 == 0 ? name : "~" + name, false});
+  }
+  return qs;
+}
+
+/// A sweep batch's one group as batch::EvaluateGroup sees it, built as
+/// the Reasoner builds it: the compact sub-database of the queries'
+/// module union where slicing is sound (else the whole database), and the
+/// canonical queries renamed into its numbering.
+struct SweepGroup {
+  std::optional<analysis::SubDatabase> sub;
+  std::vector<batch::CanonicalQuery> queries;
+};
+
+SweepGroup MakeSweepGroup(const Database& db, const analysis::Slicer& slicer,
+                          SemanticsKind kind,
+                          const std::vector<batch::BatchQuery>& qs) {
+  Database parse_db = db;
+  SweepGroup g;
+  std::vector<Var> roots;
+  for (const batch::BatchQuery& q : qs) {
+    Result<Formula> f = ParseFormula(q.text, &parse_db.vocabulary());
+    DD_CHECK(f.ok());
+    g.queries.push_back(batch::Canonicalize(*f, parse_db.vocabulary()));
+    roots.insert(roots.end(), g.queries.back().roots.begin(),
+                 g.queries.back().roots.end());
+  }
+  if (!analysis::SliceIsSound(analysis::Analyze(db), kind, false)) return g;
+  const analysis::SliceResult slice = slicer.ModuleUnion(roots);
+  if (!slice.proper) return g;
+  g.sub = slicer.MakeSubDatabase(slice);
+  for (batch::CanonicalQuery& q : g.queries) {
+    q = batch::RenameQuery(q, g.sub->to_parent);
+  }
+  return g;
+}
+
 }  // namespace
 
 int Main(int argc, char** argv) {
@@ -141,56 +251,72 @@ int Main(int argc, char** argv) {
       std::vector<batch::BatchQuery> qs = LiteralWorkload(n, cfg.vars, &rng);
       const double gen_ms = gen_timer.ElapsedSeconds() * 1e3;
 
-      // Batch leg: one AnswerBatch call on a fresh reasoner.
-      Reasoner rb(db);
+      // Batch leg: one AnswerBatch call on a fresh reasoner. Sequential
+      // leg: the one-query-at-a-time entry points on an equally fresh
+      // reasoner (same engine caches and sessions as any CLI user).
+      // Batch-of-one rows repeat both legs (see the header comment).
       batch::BatchOptions bo;
       bo.num_threads = args.threads;
       bo.deadline_ms = args.timeout_ms;
-      Timer batch_timer;
-      Result<batch::BatchAnswer> batch = rb.AnswerBatch(cfg.kind, qs, bo);
-      const double batch_ms = batch_timer.ElapsedSeconds() * 1e3;
-      if (!batch.ok()) {
-        Audit(false, batch.status().ToString().c_str(), kind_name, n);
+      std::unique_ptr<Reasoner> rb;
+      std::optional<Result<batch::BatchAnswer>> batch;
+      std::vector<Trilean> seq;
+      bool seq_complete = true;
+      bool seq_cut = false;
+      const std::vector<std::vector<double>> ms = Alternate(
+          n == 1 ? kReps : 1,
+          {[&] {
+             rb = std::make_unique<Reasoner>(db);
+             Timer t;
+             batch = rb->AnswerBatch(cfg.kind, qs, bo);
+             return t.ElapsedSeconds() * 1e3;
+           },
+           [&] {
+             Reasoner rs(db);
+             seq.assign(qs.size(), Trilean::kUnknown);
+             seq_complete = true;
+             seq_cut = false;
+             Timer t;
+             for (size_t i = 0; i < qs.size(); ++i) {
+               if (args.timeout_ms > 0 &&
+                   t.ElapsedSeconds() * 1e3 > args.timeout_ms) {
+                 seq_complete = false;
+                 seq_cut = true;
+                 break;
+               }
+               Result<bool> r = rs.InfersLiteral(cfg.kind, qs[i].text);
+               if (!r.ok()) {
+                 Audit(false, r.status().ToString().c_str(), kind_name, n);
+                 seq_complete = false;
+                 break;
+               }
+               seq[i] = TrileanFromBool(*r);
+             }
+             return t.ElapsedSeconds() * 1e3;
+           }});
+      const double batch_ms = Quantile(ms[0], 0.5);
+      const double seq_ms = Quantile(ms[1], 0.5);
+      if (!batch->ok()) {
+        Audit(false, batch->status().ToString().c_str(), kind_name, n);
         continue;
       }
-      bool timeout = batch->stats.unknowns > 0;
-
-      // Sequential leg: the one-query-at-a-time entry points on an equally
-      // fresh reasoner (same engine caches and sessions as any CLI user).
-      Reasoner rs(db);
-      std::vector<Trilean> seq(qs.size(), Trilean::kUnknown);
-      bool seq_complete = true;
-      Timer seq_timer;
-      for (size_t i = 0; i < qs.size(); ++i) {
-        if (args.timeout_ms > 0 &&
-            seq_timer.ElapsedSeconds() * 1e3 > args.timeout_ms) {
-          seq_complete = false;
-          timeout = true;
-          break;
-        }
-        Result<bool> r = rs.InfersLiteral(cfg.kind, qs[i].text);
-        if (!r.ok()) {
-          Audit(false, r.status().ToString().c_str(), kind_name, n);
-          seq_complete = false;
-          break;
-        }
-        seq[i] = TrileanFromBool(*r);
-      }
-      const double seq_ms = seq_timer.ElapsedSeconds() * 1e3;
+      const batch::BatchAnswer& got = **batch;
+      const bool batch_cut = got.stats.unknowns > 0;
+      const bool timeout = batch_cut || seq_cut;
 
       // Audit (a): batch answers equal sequential answers wherever both
       // legs produced a definite verdict.
       if (seq_complete) {
         for (size_t i = 0; i < qs.size(); ++i) {
-          if (batch->answers[i] == Trilean::kUnknown) continue;
-          Audit(batch->answers[i] == seq[i],
+          if (got.answers[i] == Trilean::kUnknown) continue;
+          Audit(got.answers[i] == seq[i],
                 "batch/sequential answer mismatch", kind_name, n);
-          if (batch->answers[i] != seq[i]) break;
+          if (got.answers[i] != seq[i]) break;
         }
       }
       // Audit (b): "Unknown is never cached".
-      if (rb.answer_cache() != nullptr) {
-        rb.answer_cache()->ForEach([&](const std::string&, Trilean t) {
+      if (rb->answer_cache() != nullptr) {
+        rb->answer_cache()->ForEach([&](const std::string&, Trilean t) {
           Audit(t != Trilean::kUnknown, "kUnknown found in answer cache",
                 kind_name, n);
         });
@@ -199,23 +325,27 @@ int Main(int argc, char** argv) {
       const double speedup = batch_ms > 0 ? seq_ms / batch_ms : 0.0;
       std::printf("%-6s %6d | %10.2f %10.2f %7.2fx | %6lld %6lld %6lld%s\n",
                   kind_name, n, batch_ms, seq_ms, speedup,
-                  static_cast<long long>(batch->stats.unique_queries),
-                  static_cast<long long>(batch->stats.groups),
-                  static_cast<long long>(batch->stats.cache_hits),
+                  static_cast<long long>(got.stats.unique_queries),
+                  static_cast<long long>(got.stats.groups),
+                  static_cast<long long>(got.stats.cache_hits),
                   timeout ? "  (timeout)" : "");
 
       BenchRecord rec;
       rec.name = StrFormat("%s/literals", kind_name);
       rec.n = n;
       rec.wall_ms = batch_ms;
-      rec.oracle_calls = rb.TotalStats().sat_calls;
-      rec.cache_hits = batch->stats.cache_hits;
+      rec.oracle_calls = rb->TotalStats().sat_calls;
+      rec.cache_hits = got.stats.cache_hits;
       rec.timeout = timeout;
+      rec.timeout_leg = TimeoutLeg(batch_cut, seq_cut);
       rec.AddPhase("generate", gen_ms)
           .AddPhase("batch", batch_ms)
           .AddPhase("sequential", seq_ms);
+      if (ms[0].size() > 1) {
+        rec.AddLeg("batch", ms[0]).AddLeg("sequential", ms[1]);
+      }
       obs::MetricsRegistry reg;
-      rb.PublishMetrics(&reg);
+      rb->PublishMetrics(&reg);
       rec.metrics = reg.Snapshot();
       out.Add(std::move(rec));
     }
@@ -255,7 +385,8 @@ int Main(int argc, char** argv) {
           Audit(false, batch.status().ToString().c_str(), kind_name, n);
           continue;
         }
-        bool timeout = batch->stats.unknowns > 0;
+        const bool batch_cut = batch->stats.unknowns > 0;
+        bool seq_cut = false;
 
         Reasoner rs(db);
         std::vector<Trilean> seq(qs.size(), Trilean::kUnknown);
@@ -265,7 +396,7 @@ int Main(int argc, char** argv) {
           if (args.timeout_ms > 0 &&
               seq_timer.ElapsedSeconds() * 1e3 > args.timeout_ms) {
             seq_complete = false;
-            timeout = true;
+            seq_cut = true;
             break;
           }
           if (brave) {
@@ -288,6 +419,7 @@ int Main(int argc, char** argv) {
           }
         }
         const double seq_ms = seq_timer.ElapsedSeconds() * 1e3;
+        const bool timeout = batch_cut || seq_cut;
 
         if (seq_complete) {
           for (size_t i = 0; i < qs.size(); ++i) {
@@ -324,6 +456,7 @@ int Main(int argc, char** argv) {
         rec.oracle_calls = rb.TotalStats().sat_calls;
         rec.cache_hits = batch->stats.cache_hits;
         rec.timeout = timeout;
+        rec.timeout_leg = TimeoutLeg(batch_cut, seq_cut);
         rec.AddPhase("batch", batch_ms).AddPhase("sequential", seq_ms);
         out.Add(std::move(rec));
       }
@@ -427,6 +560,143 @@ int Main(int argc, char** argv) {
     rec.timeout = false;
     rec.AddPhase("warm", warm_ms).AddPhase("cold", cold_ms);
     out.Add(std::move(rec));
+  }
+
+  // --- Group-size sweep ----------------------------------------------------
+  // One group of `size` unique literal queries per semantics and mode.
+  // "bank" and "direct" time the group alone (batch::EvaluateGroup as a
+  // new bank, and per query on a fresh engine), which is the choice
+  // kMinBankGroup makes; "planned", "no_banks" (model_bank_cap = 0) and
+  // "sequential" time the same queries end to end on fresh reasoners.
+  // Every leg must give the same answers.
+  const int kSweepSizes[] = {1, 2, 3, 4, 8};
+  std::printf(
+      "\nGroup-size sweep (median ms of %d; one group of `size` queries)\n"
+      "%-6s %-6s %4s | %8s %8s %6s | %8s %8s %8s | %4s %4s\n",
+      kReps, "sem", "mode", "size", "bank", "direct", "b/d", "planned",
+      "no_banks", "seq", "uniq", "grp");
+  for (const KindCfg& cfg : kKinds) {
+    const char* kind_name = SemanticsKindName(cfg.kind);
+    Database db = RandomPositiveDdb(
+        cfg.vars, cfg.clauses, DeriveSeed(args.seed, cfg.vars * 131 + 7));
+    const analysis::Slicer slicer(db);
+    const std::vector<Var> atoms = LargestModuleAtoms(slicer);
+    for (int brave = 0; brave <= 1; ++brave) {
+      const batch::BatchMode mode =
+          brave ? batch::BatchMode::kBrave : batch::BatchMode::kSkeptical;
+      for (int size : kSweepSizes) {
+        const std::vector<batch::BatchQuery> qs =
+            SweepQueries(atoms, size, db.vocabulary());
+        const SweepGroup group = MakeSweepGroup(db, slicer, cfg.kind, qs);
+        batch::GroupRequest req;
+        req.db = group.sub.has_value() ? &group.sub->db : &db;
+        req.kind = cfg.kind;
+        req.mode = mode;
+        req.opts.hcf_minimality = group.sub.has_value();
+        for (const batch::CanonicalQuery& q : group.queries) {
+          req.queries.push_back(&q);
+        }
+        batch::GroupRequest direct_req = req;
+        direct_req.eval = batch::GroupEval::kDirect;
+        batch::GroupRequest bank_req = req;
+        bank_req.eval = batch::GroupEval::kNewBank;
+
+        batch::BatchOptions planned_opts;
+        planned_opts.num_threads = args.threads;
+        planned_opts.use_answer_cache = false;
+        batch::BatchOptions no_banks_opts = planned_opts;
+        no_banks_opts.model_bank_cap = 0;
+
+        // PDSM's bank gate forbids banks: its "bank" leg is the direct one.
+        const bool bank_sound = brave ? batch::BraveBankIsSound(cfg.kind)
+                                      : batch::BankIsSound(cfg.kind);
+        if (!bank_sound) bank_req.eval = batch::GroupEval::kDirect;
+        batch::GroupResult bank_res, direct_res;
+        std::optional<Result<batch::BatchAnswer>> planned, no_banks;
+        std::vector<Trilean> seq(qs.size(), Trilean::kUnknown);
+        auto run_group = [](const batch::GroupRequest& r,
+                            batch::GroupResult* res) {
+          Timer t;
+          *res = batch::EvaluateGroup(r);
+          return t.ElapsedSeconds() * 1e3;
+        };
+        auto run_batch = [&](const batch::BatchOptions& o,
+                             std::optional<Result<batch::BatchAnswer>>* res) {
+          Reasoner r(db);
+          Timer t;
+          *res = brave ? r.AnswerBatchCredulous(cfg.kind, qs, o)
+                       : r.AnswerBatch(cfg.kind, qs, o);
+          return t.ElapsedSeconds() * 1e3;
+        };
+        const std::vector<std::vector<double>> ms = Alternate(
+            kReps,
+            {[&] { return run_group(bank_req, &bank_res); },
+             [&] { return run_group(direct_req, &direct_res); },
+             [&] { return run_batch(planned_opts, &planned); },
+             [&] { return run_batch(no_banks_opts, &no_banks); },
+             [&] {
+               Reasoner r(db);
+               Timer t;
+               for (size_t i = 0; i < qs.size(); ++i) {
+                 if (brave) {
+                   Result<Trilean> a = r.InfersCredulously(cfg.kind, qs[i].text);
+                   seq[i] = a.ok() ? *a : Trilean::kUnknown;
+                 } else {
+                   Result<bool> a = r.InfersFormula(cfg.kind, qs[i].text);
+                   seq[i] = a.ok() ? TrileanFromBool(*a) : Trilean::kUnknown;
+                 }
+               }
+               return t.ElapsedSeconds() * 1e3;
+             }});
+
+        // Audit: the five legs answer alike, and definitely.
+        const bool legs_ok = bank_res.error.ok() && direct_res.error.ok() &&
+                             planned->ok() && no_banks->ok();
+        Audit(legs_ok, "sweep leg failed", kind_name, size);
+        if (!legs_ok) continue;
+        Audit((*planned)->answers == seq && (*no_banks)->answers == seq &&
+                  bank_res.answers == seq && direct_res.answers == seq,
+              "sweep legs disagree", kind_name, size);
+        for (Trilean t : seq) {
+          Audit(t != Trilean::kUnknown, "sweep answer unknown", kind_name,
+                size);
+        }
+
+        const batch::BatchStats& st = (*planned)->stats;
+        const double bank_ms = Quantile(ms[0], 0.5);
+        const double direct_ms = Quantile(ms[1], 0.5);
+        std::printf(
+            "%-6s %-6s %4d | %8.3f %8.3f %5.2fx | %8.3f %8.3f %8.3f | %4lld "
+            "%4lld\n",
+            kind_name, brave ? "brave" : "skept", size, bank_ms, direct_ms,
+            direct_ms > 0 ? bank_ms / direct_ms : 0.0, Quantile(ms[2], 0.5),
+            Quantile(ms[3], 0.5), Quantile(ms[4], 0.5),
+            static_cast<long long>(st.unique_queries),
+            static_cast<long long>(st.groups));
+
+        BenchRecord rec;
+        rec.name = StrFormat("%s/sweep_%s", kind_name,
+                             brave ? "brave" : "skeptical");
+        rec.n = size;
+        rec.wall_ms = Quantile(ms[2], 0.5);
+        rec.oracle_calls = direct_res.stats.sat_calls;
+        rec.cache_hits = 0;
+        rec.AddLeg("bank", ms[0])
+            .AddLeg("direct", ms[1])
+            .AddLeg("planned", ms[2])
+            .AddLeg("no_banks", ms[3])
+            .AddLeg("sequential", ms[4]);
+        rec.AddPhase("bank", bank_ms)
+            .AddPhase("direct", direct_ms)
+            .AddPhase("planned", Quantile(ms[2], 0.5))
+            .AddPhase("no_banks", Quantile(ms[3], 0.5))
+            .AddPhase("sequential", Quantile(ms[4], 0.5));
+        obs::MetricsRegistry reg;
+        batch::Publish(st, &reg);
+        rec.metrics = reg.Snapshot();
+        out.Add(std::move(rec));
+      }
+    }
   }
 
   if (!out.Write()) {

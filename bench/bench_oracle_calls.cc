@@ -146,7 +146,7 @@ int main_impl(int argc, char** argv) {
     bench::BenchRecord row{StrFormat("gcwa_counting%s",
                                      args.use_sessions ? "" : "_no_sessions"),
                            n, secs * 1e3 / reps, calls / reps, 0, timed_out,
-                           {}, {}};
+                           {}, {}, {}, {}};
     row.AddPhase("generate", gen_secs * 1e3).AddPhase("query", secs * 1e3);
     row.SetMetrics(row_stats, row_sess);
     json.Add(std::move(row));
@@ -202,7 +202,7 @@ int main_impl(int argc, char** argv) {
     bench::BenchRecord row{StrFormat("ccwa_counting%s",
                                      args.use_sessions ? "" : "_no_sessions"),
                            n, secs * 1e3 / reps, calls / reps, 0, timed_out,
-                           {}, {}};
+                           {}, {}, {}, {}};
     row.AddPhase("generate", gen_secs * 1e3).AddPhase("query", secs * 1e3);
     row.SetMetrics(row_stats, row_sess);
     json.Add(std::move(row));
@@ -237,12 +237,12 @@ int main_impl(int argc, char** argv) {
                 static_cast<long long>(sess.sat_calls),
                 static_cast<long long>(sess.cache_hits));
     bench::BenchRecord fresh_row{"ab_fresh", n, fresh.ms, fresh.oracle_calls,
-                                 fresh.cache_hits, fresh_to, {}, {}};
+                                 fresh.cache_hits, fresh_to, {}, {}, {}, {}};
     fresh_row.AddPhase("workload", fresh.ms);
     fresh_row.SetMetrics(fresh.stats, fresh.sess);
     json.Add(std::move(fresh_row));
     bench::BenchRecord sess_row{"ab_session", n, sess.ms, sess.oracle_calls,
-                                sess.cache_hits, sess_to, {}, {}};
+                                sess.cache_hits, sess_to, {}, {}, {}, {}};
     sess_row.AddPhase("workload", sess.ms);
     sess_row.SetMetrics(sess.stats, sess.sess);
     json.Add(std::move(sess_row));

@@ -301,7 +301,7 @@ int main_impl(int argc, char** argv) {
     rows.push_back(row);
     bench::BenchRecord rec{StrFormat("%s/%s", cell.semantics, cell.task),
                            cell.num_vars, row.seconds * 1e3, sat, 0,
-                           timed_out, {}, {}};
+                           timed_out, {}, {}, {}, {}};
     // Per-phase attribution + the row's counter snapshot under the
     // canonical dd.* names (docs/OBSERVABILITY.md).
     rec.AddPhase("generate", gen_secs * 1e3)

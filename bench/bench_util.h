@@ -2,6 +2,7 @@
 #ifndef DD_BENCH_BENCH_UTIL_H_
 #define DD_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -78,6 +79,27 @@ inline bool TimedOut(const std::shared_ptr<Budget>& b) {
   return b != nullptr && b->Exhausted();
 }
 
+/// The q-quantile of `v` by linear interpolation between order
+/// statistics (perfbench's Quantile); 0 for an empty sample.
+inline double Quantile(std::vector<double> v, double q) {
+  if (v.empty()) return 0;
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
+/// One leg of a repeated row: the median and quartiles of its
+/// per-repetition wall times.
+struct BenchLeg {
+  std::string name;
+  double median_ms = 0.0;
+  double q1_ms = 0.0;
+  double q3_ms = 0.0;
+  int reps = 0;
+};
+
 /// One machine-readable measurement row.
 struct BenchRecord {
   std::string name;         ///< family / configuration label
@@ -86,6 +108,9 @@ struct BenchRecord {
   int64_t oracle_calls = 0; ///< semantic oracle calls (mode-invariant)
   int64_t cache_hits = 0;   ///< oracle answers served from session memo
   bool timeout = false;     ///< the --timeout-ms watchdog cut this row off
+  /// Which leg the watchdog cut ("none", a leg name, or "both"); emitted
+  /// as "timeout_leg" when nonempty.
+  std::string timeout_leg;
 
   /// Per-phase wall-clock attribution (name, ms), insertion-ordered — e.g.
   /// {"generate", 0.4}, {"query", 11.2}. Emitted as the row's "phases"
@@ -97,8 +122,19 @@ struct BenchRecord {
   /// row's "metrics" object via obs::WriteJson when nonempty.
   obs::MetricsSnapshot metrics;
 
+  /// Repeated legs, emitted as the row's "legs" object when nonempty.
+  std::vector<BenchLeg> legs;
+
   BenchRecord& AddPhase(std::string phase, double ms) {
     phases.emplace_back(std::move(phase), ms);
+    return *this;
+  }
+
+  /// Adds a leg summarizing `samples_ms`, one wall time per repetition.
+  BenchRecord& AddLeg(std::string leg, const std::vector<double>& samples_ms) {
+    legs.push_back({std::move(leg), Quantile(samples_ms, 0.5),
+                    Quantile(samples_ms, 0.25), Quantile(samples_ms, 0.75),
+                    static_cast<int>(samples_ms.size())});
     return *this;
   }
 
@@ -127,12 +163,15 @@ class BenchJsonWriter {
   void Add(const std::string& name, int n, double wall_ms,
            int64_t oracle_calls, int64_t cache_hits, bool timeout = false) {
     records_.push_back(
-        {name, n, wall_ms, oracle_calls, cache_hits, timeout, {}, {}});
+        {name, n, wall_ms, oracle_calls, cache_hits, timeout, {}, {}, {}, {}});
   }
 
   /// Writes BENCH_<bench>.json; idempotent. Returns false on I/O failure.
-  /// Rows always carry the flat legacy fields; rows with phase timings
-  /// gain a "phases" object and rows with a counter snapshot gain a
+  /// Rows always carry the flat legacy fields; rows naming a watchdog leg
+  /// gain "timeout_leg", repeated rows a "legs" object (per leg: median
+  /// and quartiles of the repetitions' wall times, and their count), rows
+  /// with phase timings a "phases" object, and rows with a counter
+  /// snapshot a
   /// "metrics" object rendered through obs::WriteJson (the same
   /// serializer ddquery --metrics uses, so one schema serves both).
   bool Write() {
@@ -151,6 +190,21 @@ class BenchJsonWriter {
           static_cast<long long>(r.oracle_calls),
           static_cast<long long>(r.cache_hits),
           r.timeout ? "true" : "false");
+      if (!r.timeout_leg.empty()) {
+        f << ", \"timeout_leg\": \"" << obs::JsonEscape(r.timeout_leg) << "\"";
+      }
+      if (!r.legs.empty()) {
+        f << ", \"legs\": {";
+        for (size_t l = 0; l < r.legs.size(); ++l) {
+          const BenchLeg& leg = r.legs[l];
+          f << StrFormat(
+              "\"%s\": {\"median_ms\": %.4f, \"q1_ms\": %.4f, "
+              "\"q3_ms\": %.4f, \"reps\": %d}%s",
+              obs::JsonEscape(leg.name).c_str(), leg.median_ms, leg.q1_ms,
+              leg.q3_ms, leg.reps, l + 1 < r.legs.size() ? ", " : "");
+        }
+        f << "}";
+      }
       if (!r.phases.empty()) {
         f << ", \"phases\": {";
         for (size_t p = 0; p < r.phases.size(); ++p) {

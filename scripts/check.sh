@@ -5,7 +5,11 @@
 #      cannot carry warnings either), ctest, then the oracle-session A/B
 #      audit: bench_oracle_calls runs in a temp dir (results/ untouched)
 #      and fails the leg when the counting algorithm's oracle-call counts
-#      differ between session and fresh mode
+#      differ between session and fresh mode; then the batch audit:
+#      bench_batch (its group-size sweep included) runs in a temp dir the
+#      same way and fails the leg on any AUDIT FAILURE line (batch,
+#      direct, bank and sequential answers disagree, or an unknown was
+#      cached)
 #   2. AddressSanitizer build, ctest
 #   3. UndefinedBehaviorSanitizer build, ctest
 #   4. ThreadSanitizer build, running the concurrency surface only
@@ -109,6 +113,26 @@ if [ -x "$AB_BIN" ]; then
   rm -rf "$AB_TMP"
 else
   echo "oracle A/B: bench_oracle_calls not built; skipping"
+fi
+
+echo "===== batch audit (bench_batch) ====="
+BATCH_BIN="$PWD/build-check-release/bench/bench_batch"
+if [ -x "$BATCH_BIN" ]; then
+  # Writes BENCH_batch.json into the temp dir, not results/ (~20 s).
+  BATCH_TMP="$(mktemp -d)"
+  (cd "$BATCH_TMP" && "$BATCH_BIN" --timeout-ms=10000 >batch.out 2>&1)
+  BATCH_RC=$?
+  if [ "$BATCH_RC" -ne 0 ] || grep -q 'AUDIT FAILURE' "$BATCH_TMP/batch.out"; then
+    grep 'AUDIT FAILURE' "$BATCH_TMP/batch.out" | head -n 12
+    tail -n 3 "$BATCH_TMP/batch.out"
+    echo "batch audit: FAILED (exit $BATCH_RC)"
+    FAILED=1
+  else
+    echo "batch audit: OK (every leg of every row answers alike)"
+  fi
+  rm -rf "$BATCH_TMP"
+else
+  echo "batch audit: bench_batch not built; skipping"
 fi
 
 if [ "$FAST" -eq 0 ]; then

@@ -6,9 +6,24 @@
 namespace dd {
 namespace batch {
 
+namespace {
+
+/// Groups of MinBankGroup(kind, mode) or more unique queries pay for a
+/// new bank; the rest answer directly.
+void ChooseEvaluations(SemanticsKind kind, BatchMode mode, bool banks,
+                       std::vector<PlannedGroup>* groups) {
+  const size_t min_bank = MinBankGroup(kind, mode);
+  for (PlannedGroup& g : *groups) {
+    g.eval = banks && g.query_indices.size() >= min_bank ? GroupEval::kNewBank
+                                                         : GroupEval::kDirect;
+  }
+}
+
+}  // namespace
+
 std::vector<PlannedGroup> PlanGroups(
     const analysis::Slicer* slicer, const analysis::ProgramProperties& props,
-    SemanticsKind kind, bool custom_partition,
+    SemanticsKind kind, BatchMode mode, bool banks, bool custom_partition,
     const std::vector<CanonicalQuery>& queries,
     const std::vector<int>& pending) {
   std::vector<PlannedGroup> groups;
@@ -20,6 +35,7 @@ std::vector<PlannedGroup> PlanGroups(
     g.query_indices = pending;
     g.whole_db = true;
     groups.push_back(std::move(g));
+    ChooseEvaluations(kind, mode, banks, &groups);
     return groups;
   }
 
@@ -50,6 +66,7 @@ std::vector<PlannedGroup> PlanGroups(
     }
     groups[it->second].query_indices.push_back(qi);
   }
+  ChooseEvaluations(kind, mode, banks, &groups);
   return groups;
 }
 

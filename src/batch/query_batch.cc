@@ -179,6 +179,12 @@ bool BraveBankIsSound(SemanticsKind kind) {
   return kind != SemanticsKind::kPdsm;
 }
 
+size_t MinBankGroup(SemanticsKind kind, BatchMode mode) {
+  if (kind == SemanticsKind::kCwa) return 1;
+  if (kind == SemanticsKind::kIcwa && mode == BatchMode::kBrave) return 1;
+  return kMinBankGroup;
+}
+
 namespace {
 
 /// Answers every member query from a complete bank: a for-all pass
@@ -216,13 +222,12 @@ GroupResult EvaluateGroup(const GroupRequest& req) {
     out.witnesses.assign(req.queries.size(), std::nullopt);
   }
   const bool brave = req.mode == BatchMode::kBrave;
-  const bool bank_sound =
-      brave ? BraveBankIsSound(req.kind) : BankIsSound(req.kind);
 
   // A stored complete bank answers the whole group with zero oracle work
   // (and zero budget spend): the expensive enumeration already happened
   // in an earlier batch or ladder rung.
-  if (bank_sound && req.bank != nullptr && req.bank->complete) {
+  if (req.eval == GroupEval::kStoredBank) {
+    DD_CHECK(req.bank != nullptr && req.bank->complete);
     AnswerFromBank(req, *req.bank, &out);
     out.used_bank = true;
     out.bank_from_store = true;
@@ -234,15 +239,14 @@ GroupResult EvaluateGroup(const GroupRequest& req) {
       MakeSemantics(req.kind, *req.db, req.opts, req.partition);
   if (req.budget != nullptr) engine->SetBudget(req.budget);
 
-  // Shared model bank: enumerate the group's intended models once and
+  // New shared model bank: enumerate the group's intended models once and
   // answer every member query against them. Asking for cap+1 models and
   // trusting only when at most cap came back PROVES completeness — an
   // enumeration engine may silently stop at its cap (PERF, ICWA) or
   // error past it (CWA family, EGCWA), and either way a result of
   // exactly cap models under a cap-sized request could be truncated,
   // while under a (cap+1)-sized request it cannot be.
-  bool bank_done = false;
-  if (bank_sound && req.model_bank_cap > 0) {
+  if (req.eval == GroupEval::kNewBank) {
     const int64_t cap = EffectiveBankCap(req.model_bank_cap, req.opts);
     Result<std::shared_ptr<const std::vector<Interpretation>>> models =
         engine->SharedModels(cap + 1);
@@ -257,48 +261,49 @@ GroupResult EvaluateGroup(const GroupRequest& req) {
       out.used_bank = true;
       out.bank_models = static_cast<int64_t>(bank->models->size());
       if (req.export_bank) out.built_bank = std::move(bank);
-      bank_done = true;
+      engine->ReportNewWork(&out.stats, &out.session_stats);
+      return out;
     }
     // Budget exhaustion during banking latches the engine interrupt; the
-    // fallback below then fails fast per query with sound kUnknowns. A
-    // model-count overflow (more intended models than the cap) does not
-    // latch anything — the fallback answers normally. Neither outcome
-    // ever exports a bank.
+    // per-query loop below then fails fast per query with sound
+    // kUnknowns. A model-count overflow (more intended models than the
+    // cap) does not latch anything — the loop answers normally. Neither
+    // outcome ever exports a bank.
   }
 
-  if (!bank_done) {
-    for (size_t i = 0; i < req.queries.size(); ++i) {
-      const CanonicalQuery* q = req.queries[i];
-      Status failed;
-      if (brave || req.collect_witnesses) {
-        // Brave: the engine's own credulous check — a model violating ¬f is
-        // exactly a model satisfying f — so fallback answers equal the
-        // sequential InfersCredulously entry point by construction
-        // (including PDSM's 3-valued reading). Skeptical with witnesses: a
-        // counterexample to f, nullopt ⇔ inferred.
-        Result<std::optional<Interpretation>> r = engine->FindCounterexample(
-            brave ? FormulaNode::MakeNot(q->f) : q->f);
-        if (r.ok()) {
-          out.answers[i] = TrileanFromBool(r->has_value() == brave);
-          if (req.collect_witnesses && r->has_value()) {
-            out.witnesses[i] = std::move(**r);
-          }
-          continue;
+  // Direct evaluation (and the new-bank fallback): one engine call per
+  // member query.
+  for (size_t i = 0; i < req.queries.size(); ++i) {
+    const CanonicalQuery* q = req.queries[i];
+    Status failed;
+    if (brave || req.collect_witnesses) {
+      // Brave: the engine's own credulous check — a model violating ¬f is
+      // exactly a model satisfying f — so these answers equal the
+      // sequential InfersCredulously entry point by construction
+      // (including PDSM's 3-valued reading). Skeptical with witnesses: a
+      // counterexample to f, nullopt ⇔ inferred.
+      Result<std::optional<Interpretation>> r = engine->FindCounterexample(
+          brave ? FormulaNode::MakeNot(q->f) : q->f);
+      if (r.ok()) {
+        out.answers[i] = TrileanFromBool(r->has_value() == brave);
+        if (req.collect_witnesses && r->has_value()) {
+          out.witnesses[i] = std::move(**r);
         }
-        failed = r.status();
-      } else {
-        Result<bool> r = q->lit.has_value() ? engine->InfersLiteral(*q->lit)
-                                            : engine->InfersFormula(q->f);
-        if (r.ok()) {
-          out.answers[i] = TrileanFromBool(*r);
-          continue;
-        }
-        failed = r.status();
+        continue;
       }
-      // The answer stays kUnknown: budget exhaustion is sound, and the
-      // first hard error fails the batch.
-      if (!failed.IsBudgetExhaustion() && out.error.ok()) out.error = failed;
+      failed = r.status();
+    } else {
+      Result<bool> r = q->lit.has_value() ? engine->InfersLiteral(*q->lit)
+                                          : engine->InfersFormula(q->f);
+      if (r.ok()) {
+        out.answers[i] = TrileanFromBool(*r);
+        continue;
+      }
+      failed = r.status();
     }
+    // The answer stays kUnknown: budget exhaustion is sound, and the
+    // first hard error fails the batch.
+    if (!failed.IsBudgetExhaustion() && out.error.ok()) out.error = failed;
   }
 
   engine->ReportNewWork(&out.stats, &out.session_stats);

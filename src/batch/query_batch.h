@@ -17,14 +17,17 @@
 //   4. group — survivors are grouped by relevance module
 //      (batch/batch_planner.h, reusing analysis/slicer under the same
 //      per-semantics soundness gates as single-query dispatch);
-//   5. evaluate — each group runs once on its own engine: a shared
-//      minimal-model bank answers every member query when the group's
-//      intended-model set fits under the bank cap, else the group falls
-//      back to per-query engine calls (still sharing the engine's session,
-//      memo and projection streams). Complete banks are reused across
-//      batches via batch/model_bank_store.h. Groups run in parallel under
-//      one shared Budget; exhaustion yields sound kUnknown answers, which
-//      are NEVER cached.
+//   5. evaluate — the planner picks one of three evaluations per group
+//      (GroupEval): a bank the batch/model_bank_store.h store already
+//      holds answers the group with no engine at all; a group of at least
+//      MinBankGroup(kind, mode) unique queries enumerates a new shared
+//      minimal-model bank on its own engine, answers every member from it
+//      and stores it for later batches (falling back to per-query calls
+//      when the intended-model set does not fit under the bank cap); any
+//      other group answers directly, per query, on its own engine (still
+//      sharing the engine's session, memo and projection streams) and
+//      builds no bank. Groups run in parallel under one shared Budget;
+//      exhaustion yields sound kUnknown answers, which are NEVER cached.
 //
 // The pipeline runs in one of two modes (BatchMode):
 //   * kSkeptical — "f true in EVERY intended model". Top-level ∧ splits;
@@ -108,7 +111,9 @@ struct BatchOptions {
 
   /// Cap on models enumerated into a group's shared model bank; a group
   /// whose intended-model set does not fit falls back to per-query
-  /// evaluation. <= 0 disables banks entirely.
+  /// evaluation. <= 0 disables banks entirely. Only groups of at least
+  /// MinBankGroup unique queries build a bank; smaller ones answer per
+  /// query unless the store already holds their bank.
   int64_t model_bank_cap = 4096;
 
   /// Use the reasoner-owned answer cache (created on first use with
@@ -153,7 +158,10 @@ struct BatchStats {
   int64_t disjunct_splits = 0;  ///< brave inputs split at a top-level ∨
   int64_t groups = 0;           ///< planned evaluation groups
   int64_t bank_groups = 0;      ///< groups answered by a shared model bank
-  int64_t fallback_groups = 0;  ///< groups answered per query
+  /// Groups answered per query: direct groups (too small to pay for a
+  /// bank, or bank-unsound) and new-bank groups whose models overflowed
+  /// the cap. Equals groups - bank_groups for every batch that finishes.
+  int64_t fallback_groups = 0;
   int64_t bank_models = 0;      ///< models enumerated into banks (built
                                 ///< this batch; store hits add nothing)
   int64_t unknowns = 0;         ///< kUnknown answers returned (exhaustion)
@@ -254,6 +262,37 @@ bool BankIsSound(SemanticsKind kind);
 /// reason — its credulous check runs over partial stable models.
 bool BraveBankIsSound(SemanticsKind kind);
 
+/// How one group is evaluated (docs/BATCHING.md §1, stage 5). The planner sets
+/// kDirect or kNewBank; a store hit upgrades the group to kStoredBank.
+enum class GroupEval {
+  kDirect,      ///< per-query engine calls; no bank is built or exported
+  kNewBank,     ///< enumerate the group's bank, answer from it, export it
+  kStoredBank,  ///< answer from GroupRequest::bank; no engine runs
+};
+
+/// Unique queries a group needs before a new bank pays for itself. A
+/// query costs a few oracle calls (NP or Σ₂ᵖ), a bank one call per
+/// intended model or more, so a bank only pays when queries share it,
+/// in the batch or later through the store. bench_batch's group-size
+/// sweep ("*/sweep_*" rows of results/BENCH_batch.json; table in
+/// docs/BATCHING.md §5) times one group of 1, 2, 3, 4 and 8 queries
+/// as a new bank and per query: at size 1 per query is faster, on three
+/// seeds, for every bank-sound (kind, mode) except those MinBankGroup
+/// lists.
+/// From size 2 on the bank wins on some semantics within the batch, and
+/// a stored bank answers later groups with no oracle call: on
+/// perfbench's serve_zipf, banking from 2 serves ~7% more requests per
+/// second than banking from 3 (docs/BATCHING.md §5).
+inline constexpr size_t kMinBankGroup = 2;
+
+/// The smallest group that builds a new bank under (kind, mode): the
+/// table next to BankIsSound. kMinBankGroup, except where the sweep
+/// shows a one-query bank no slower than the direct path, so the bank
+/// is built and stored at no cost: CWA, which has at most one intended
+/// model, and ICWA brave, whose FindCounterexample is Semantics'
+/// default Models() scan.
+size_t MinBankGroup(SemanticsKind kind, BatchMode mode);
+
 /// The enumeration cap a group bank actually runs under: the batch's
 /// model_bank_cap clamped by the engine options' max_models. One
 /// definition shared by EvaluateGroup and the bank-store key, so a store
@@ -277,13 +316,15 @@ struct GroupRequest {
   const Partition* partition = nullptr;  ///< custom CCWA/ECWA partition
   std::vector<const CanonicalQuery*> queries;
   std::shared_ptr<Budget> budget;  ///< shared whole-batch budget
+  /// The planner's choice (PlannedGroup::eval); kNewBank and kStoredBank
+  /// are only ever chosen where the mode's bank gate allows.
+  GroupEval eval = GroupEval::kDirect;
   int64_t model_bank_cap = 4096;
-  /// A stored complete bank for this group (batch/model_bank_store.h):
-  /// when set (and the mode's bank gate allows), the group is answered
-  /// entirely from it — no engine, no oracle work, no budget spend.
+  /// With kStoredBank: the stored complete bank that answers the group
+  /// entirely — no engine, no oracle work, no budget spend.
   std::shared_ptr<const ModelBank> bank;
-  /// Hand a freshly built complete bank back in GroupResult::built_bank
-  /// so the caller can store it (set on store misses).
+  /// With kNewBank: hand the freshly built complete bank back in
+  /// GroupResult::built_bank so the caller can store it.
   bool export_bank = false;
   bool collect_witnesses = false;
 };
@@ -310,9 +351,10 @@ struct GroupResult {
   std::vector<std::optional<Interpretation>> witnesses;
 };
 
-/// Evaluates one group on a fresh engine (bank first, per-query fallback).
-/// Self-contained and thread-safe across distinct groups: the only shared
-/// state is the thread-safe Budget.
+/// Evaluates one group as req.eval says: from the stored bank, or on a
+/// fresh engine by a new bank (per-query fallback on overflow) or per
+/// query. Self-contained and thread-safe across distinct groups: the only
+/// shared state is the thread-safe Budget.
 GroupResult EvaluateGroup(const GroupRequest& req);
 
 }  // namespace batch

@@ -787,10 +787,14 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
     }
     cache = answer_cache_.get();
   }
+  // Banks answer only where the mode's soundness gate allows (not PDSM)
+  // and the cap is positive.
+  const bool banks =
+      bopts.model_bank_cap > 0 &&
+      (brave ? batch::BraveBankIsSound(kind) : batch::BankIsSound(kind));
   // The cross-batch model-bank store (external override > reasoner-owned
   // > disabled). Disabled for a custom CCWA/ECWA partition — the store
-  // key cannot see partitions — when banks are off entirely, and where
-  // the mode's soundness gate forbids bank answers (PDSM).
+  // key cannot see partitions — and wherever banks are off.
   batch::ModelBankStore* store = bopts.bank_store;
   if (store == nullptr && bopts.use_bank_store) {
     if (bank_store_ == nullptr) {
@@ -799,10 +803,7 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
     }
     store = bank_store_.get();
   }
-  if (partition_.has_value() || bopts.model_bank_cap <= 0 ||
-      !(brave ? batch::BraveBankIsSound(kind) : batch::BankIsSound(kind))) {
-    store = nullptr;
-  }
+  if (partition_.has_value() || !banks) store = nullptr;
 
   // The batch counts its own cache and store traffic call by call, so its
   // counters stay its own when the structures are shared with others.
@@ -848,11 +849,11 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
     pending.push_back(static_cast<int>(u));
   }
 
-  // Group survivors by relevance module and evaluate, groups in parallel
-  // under one whole-batch budget.
+  // Group survivors by relevance module, choose each group's evaluation,
+  // and evaluate, groups in parallel under one whole-batch budget.
   std::vector<batch::PlannedGroup> plan = batch::PlanGroups(
-      opts_.analysis_dispatch ? slicer() : nullptr, properties(), kind,
-      partition_.has_value(), uniq, pending);
+      opts_.analysis_dispatch ? slicer() : nullptr, properties(), kind, mode,
+      banks, partition_.has_value(), uniq, pending);
   bs.groups = static_cast<int64_t>(plan.size());
 
   std::shared_ptr<Budget> budget =
@@ -888,7 +889,8 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
     req.model_bank_cap = bopts.model_bank_cap;
     req.mode = mode;
     req.collect_witnesses = bopts.collect_witnesses;
-    // Cross-batch bank reuse: probe the store for this group's bank
+    // Cross-batch bank reuse: probe the store for this group's bank,
+    // direct groups included — a stored bank answers a group of any size
     // (lookups and inserts run on the caller's thread — the store is not
     // thread-safe). A module bank is keyed on the module's OWN
     // fingerprint and atom order, so a module shared by two
@@ -941,8 +943,10 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
         req.queries.push_back(&q);
       }
     }
+    if (req.bank != nullptr) plan[g].eval = batch::GroupEval::kStoredBank;
+    req.eval = plan[g].eval;
     if (store != nullptr) {
-      req.export_bank = req.bank == nullptr;
+      req.export_bank = req.eval == batch::GroupEval::kNewBank;
       ++(req.bank != nullptr ? bs.bank_store_hits : bs.bank_store_misses);
     }
   }

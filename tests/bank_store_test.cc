@@ -258,8 +258,12 @@ TEST(BankStoreReuse, ExternalStoreSharedAcrossReasoners) {
   batch::BatchOptions opts;
   opts.use_answer_cache = false;
   opts.bank_store = &shared;
-  std::vector<batch::BatchQuery> qs = {
-      {"a", true}, {"not c", true}, {"d", true}, {"x | y", false}};
+  // Two queries per module, so both groups pay for (and store) a bank.
+  std::vector<batch::BatchQuery> qs = {{"a", true},
+                                       {"not c", true},
+                                       {"d", true},
+                                       {"x | y", false},
+                                       {"x", true}};
   Reasoner ra(a);
   Result<batch::BatchAnswer> first =
       ra.AnswerBatch(SemanticsKind::kGcwa, qs, opts);
@@ -273,6 +277,71 @@ TEST(BankStoreReuse, ExternalStoreSharedAcrossReasoners) {
   EXPECT_EQ(second->stats.bank_store_hits, 2);
   EXPECT_EQ(second->stats.bank_models, 0);
   EXPECT_EQ(shared.stats().invalidations, 0);
+}
+
+TEST(BankStoreReuse, OneQueryGroupWithoutStoredBankBuildsNone) {
+  // A bank costs one oracle call per intended model or more, a query a
+  // few: a one-query group answers directly and stores nothing, in both
+  // modes, on every semantics but the two that bank from one query (CWA,
+  // ICWA brave; see MinBankGroupTable in batch_test).
+  Database db = Db("a | b. c :- a. d :- b. x | y.");
+  for (SemanticsKind kind : kAllKinds) {
+    for (batch::BatchMode mode :
+         {batch::BatchMode::kSkeptical, batch::BatchMode::kBrave}) {
+      const bool brave = mode == batch::BatchMode::kBrave;
+      if (kind == SemanticsKind::kCwa ||
+          (kind == SemanticsKind::kIcwa && brave)) {
+        continue;
+      }
+      SCOPED_TRACE(SemanticsKindName(kind));
+      Reasoner r(db);
+      batch::BatchOptions opts;
+      opts.use_answer_cache = false;
+      const std::vector<batch::BatchQuery> qs = {{"c", true}};
+      Result<batch::BatchAnswer> got =
+          brave ? r.AnswerBatchCredulous(kind, qs, opts)
+                : r.AnswerBatch(kind, qs, opts);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got->stats.groups, 1);
+      EXPECT_EQ(got->stats.bank_groups, 0);
+      EXPECT_EQ(got->stats.fallback_groups, 1);
+      EXPECT_EQ(got->stats.bank_store_insertions, 0);
+      EXPECT_EQ(got->stats.bank_models, 0);
+    }
+  }
+}
+
+TEST(BankStoreReuse, OneQueryGroupAnswersFromStoredBankWithoutOracle) {
+  // Once a two-query group has stored its bank, a one-query group on the
+  // same footprint reads it: no engine runs, so no oracle call is made.
+  Database db = Db("a | b. c :- a. d :- b. x | y.");
+  for (SemanticsKind kind : kAllKinds) {
+    if (!batch::BankIsSound(kind)) continue;
+    SCOPED_TRACE(SemanticsKindName(kind));
+    Reasoner r(db);
+    batch::BatchOptions opts;
+    opts.use_answer_cache = false;
+    Result<batch::BatchAnswer> first = r.AnswerBatch(
+        kind, {{"a", true}, {"not b", true}, {"x", true}, {"y", true}}, opts);
+    ASSERT_TRUE(first.ok());
+    ASSERT_EQ(first->stats.bank_store_insertions, first->stats.groups);
+    const int64_t sat_before = r.TotalStats().sat_calls;
+    const int64_t solves_before = r.TotalSessionStats().solves;
+    for (const char* q : {"c", "not d"}) {
+      Result<batch::BatchAnswer> got = r.AnswerBatch(kind, {{q, true}}, opts);
+      ASSERT_TRUE(got.ok()) << q;
+      EXPECT_EQ(got->stats.bank_store_hits, 1) << q;
+      EXPECT_EQ(got->stats.bank_groups, 1) << q;
+      EXPECT_EQ(got->stats.bank_models, 0) << q;
+      EXPECT_EQ(got->stats.group_atoms, 0) << q;
+      Reasoner ref(db);
+      Result<bool> want = ref.InfersLiteral(kind, q);
+      ASSERT_TRUE(want.ok()) << q;
+      EXPECT_EQ(got->answers[0], TrileanFromBool(*want)) << q;
+    }
+    EXPECT_EQ(r.TotalStats().sat_calls, sat_before);
+    EXPECT_EQ(r.TotalSessionStats().solves, solves_before);
+  }
 }
 
 TEST(BankStoreReuse, SharedStoreNeverCrossesAtomNumberings) {

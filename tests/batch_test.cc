@@ -9,6 +9,10 @@
 //     with identical answers, the cache invalidates on any fingerprint
 //     change, and kUnknown is NEVER stored — not under budgets, not under
 //     injected oracle faults;
+//   * direct == bank: a group answered per query (too small for a bank,
+//     or banks off) and a group answered from a new or stored bank give
+//     the sequential entry points' and core/brute_force's answers, with
+//     witnesses that are intended models deciding the query;
 //   * bounded oracle memos: capping MinimalityCache / ProjectionStore
 //     evicts (visible in SessionStats::cache_evictions) without changing
 //     any answer.
@@ -19,6 +23,7 @@
 #include "batch/answer_cache.h"
 #include "batch/model_bank_store.h"
 #include "batch/query_batch.h"
+#include "core/brute_force.h"
 #include "core/reasoner.h"
 #include "gen/generators.h"
 #include "gtest/gtest.h"
@@ -213,6 +218,23 @@ TEST(Canonicalize, BankSoundnessGate) {
     // projections cannot reproduce.
     EXPECT_EQ(batch::BraveBankIsSound(kind), kind != SemanticsKind::kPdsm)
         << SemanticsKindName(kind);
+  }
+}
+
+TEST(Canonicalize, MinBankGroupTable) {
+  // One-query banks only where the group-size sweep found them no slower
+  // than the direct path (docs/BATCHING.md §5); two queries elsewhere.
+  EXPECT_EQ(batch::kMinBankGroup, 2u);
+  for (SemanticsKind kind : kAllKinds) {
+    for (batch::BatchMode mode :
+         {batch::BatchMode::kSkeptical, batch::BatchMode::kBrave}) {
+      const bool one = kind == SemanticsKind::kCwa ||
+                       (kind == SemanticsKind::kIcwa &&
+                        mode == batch::BatchMode::kBrave);
+      EXPECT_EQ(batch::MinBankGroup(kind, mode),
+                one ? 1u : batch::kMinBankGroup)
+          << SemanticsKindName(kind);
+    }
   }
 }
 
@@ -454,6 +476,238 @@ TEST(BatchBrave, WitnessesCertifyAnswers) {
 }
 
 // ---------------------------------------------------------------------------
+// Direct vs bank evaluation, against the sequential entry points and
+// core/brute_force
+
+/// A random query text over p0..p{vars-1}: a literal, or a formula of two
+/// or three atoms.
+std::string RandomQueryText(Rng* rng, int vars) {
+  auto atom = [&] {
+    const int v = static_cast<int>(rng->Below(static_cast<uint64_t>(vars)));
+    return rng->Chance(0.3) ? StrFormat("~p%d", v) : StrFormat("p%d", v);
+  };
+  const uint64_t shape = rng->Below(5);
+  const std::string a = atom();
+  if (shape == 0) return a;
+  const std::string b = atom();
+  switch (shape) {
+    case 1:
+      return StrFormat("%s | %s", a.c_str(), b.c_str());
+    case 2:
+      return StrFormat("%s & %s", a.c_str(), b.c_str());
+    case 3:
+      return StrFormat("(%s -> %s) | %s", a.c_str(), b.c_str(),
+                       atom().c_str());
+    default:
+      return StrFormat("~(%s & %s)", a.c_str(), b.c_str());
+  }
+}
+
+/// The brute-force reference of one semantics: its total intended models
+/// (PDSM: its partial stable models) and the verdict they give a query.
+struct BruteReference {
+  SemanticsKind kind;
+  std::vector<Interpretation> models;
+  std::vector<PartialInterpretation> partial;  ///< PDSM only
+
+  BruteReference(SemanticsKind k, const Database& db) : kind(k) {
+    const Partition all = Partition::MinimizeAll(db.num_vars());
+    switch (kind) {
+      case SemanticsKind::kCwa: {
+        // DB ∪ {¬x : DB ⊭ x}: the models where every atom not true in all
+        // classical models is false.
+        const std::vector<Interpretation> classical = brute::AllModels(db);
+        for (const Interpretation& m : classical) {
+          bool closed = true;
+          for (Var v : m.TrueAtoms()) {
+            for (const Interpretation& o : classical) closed &= o.Contains(v);
+          }
+          if (closed) models.push_back(m);
+        }
+        break;
+      }
+      case SemanticsKind::kGcwa:
+        models = brute::GcwaModels(db);
+        break;
+      case SemanticsKind::kEgcwa:
+        models = brute::MinimalModels(db);
+        break;
+      case SemanticsKind::kCcwa:
+        models = brute::CcwaModels(db, all);
+        break;
+      case SemanticsKind::kEcwa:
+        models = brute::PqzMinimalModels(db, all);
+        break;
+      case SemanticsKind::kDdr:
+        models = brute::DdrModels(db);
+        break;
+      case SemanticsKind::kPws:
+        models = brute::PwsModels(db);
+        break;
+      case SemanticsKind::kPerf:
+        models = brute::PerfectModels(db);
+        break;
+      case SemanticsKind::kIcwa:
+        models = brute::IcwaModels(db);
+        break;
+      case SemanticsKind::kDsm:
+        models = brute::StableModels(db);
+        break;
+      case SemanticsKind::kPdsm:
+        partial = brute::PartialStableModels(db);
+        break;
+    }
+  }
+
+  /// Does `m` decide `f` the way a witness must: violate it (skeptical)
+  /// or satisfy it (brave)? PDSM reads f 3-valued: a skeptical
+  /// counterexample leaves f not true, a brave witness leaves it not
+  /// false, and the witness is the model's true set.
+  bool Decides(const Formula& f, bool brave, const Interpretation* m,
+               const PartialInterpretation* pm) const {
+    if (pm != nullptr) {
+      const TruthValue t = f->Eval3(*pm);
+      return brave ? t != TruthValue::kFalse : t != TruthValue::kTrue;
+    }
+    return f->Eval(*m) == brave;
+  }
+
+  Trilean Answer(const Formula& f, bool brave) const {
+    bool found = false;
+    for (const Interpretation& m : models) found |= Decides(f, brave, &m, nullptr);
+    for (const PartialInterpretation& pm : partial) {
+      found |= Decides(f, brave, nullptr, &pm);
+    }
+    return TrileanFromBool(found == brave);
+  }
+
+  /// True when `w` is an intended model (PDSM: the true set of a partial
+  /// stable model) that decides `f`.
+  bool Certifies(const Interpretation& w, const Formula& f, bool brave) const {
+    for (const Interpretation& m : models) {
+      if (m == w && Decides(f, brave, &m, nullptr)) return true;
+    }
+    for (const PartialInterpretation& pm : partial) {
+      if (pm.TrueSet() == w && Decides(f, brave, nullptr, &pm)) return true;
+    }
+    return false;
+  }
+};
+
+TEST(BatchDifferential, DirectAndBankGroupsEqualSequentialAndBruteForce) {
+  // One whole-database group (analysis dispatch off) of 1-4 queries,
+  // answered four ways: direct (banks off), as planned (direct below
+  // MinBankGroup, a new bank from it on), from a stored bank, and by the
+  // sequential entry points; all must equal core/brute_force. Each batch
+  // leg runs with and without witnesses and on 1 and 4 threads; each
+  // witness must be an intended model deciding its query.
+  constexpr int kVars = 7;
+  int64_t yes = 0, no = 0, certified_witnesses = 0;
+  for (uint64_t seed : {3u, 8u}) {
+    const Database db = RandomPositiveDdb(kVars, 11, seed);
+    Rng rng(seed * 7919);
+    for (SemanticsKind kind : kAllKinds) {
+      const BruteReference ref(kind, db);
+      for (bool brave : {false, true}) {
+        const batch::BatchMode mode =
+            brave ? batch::BatchMode::kBrave : batch::BatchMode::kSkeptical;
+        const bool bank_sound =
+            brave ? batch::BraveBankIsSound(kind) : batch::BankIsSound(kind);
+        for (int size = 1; size <= 4; ++size) {
+          std::vector<batch::BatchQuery> qs;
+          for (int i = 0; i < size; ++i) {
+            qs.push_back({RandomQueryText(&rng, kVars), false});
+          }
+          const std::string where =
+              StrFormat("%s %s seed %llu size %d", SemanticsKindName(kind),
+                        brave ? "brave" : "skeptical",
+                        static_cast<unsigned long long>(seed), size);
+          Database parse_db = db;
+          std::vector<Formula> fs;
+          std::vector<Trilean> want;
+          Reasoner seq(db);
+          for (const batch::BatchQuery& q : qs) {
+            fs.push_back(testing::F(&parse_db, q.text));
+            want.push_back(ref.Answer(fs.back(), brave));
+            if (brave) {
+              Result<Trilean> r = seq.InfersCredulously(kind, q.text);
+              ASSERT_TRUE(r.ok()) << where;
+              EXPECT_EQ(*r, want.back()) << where << " sequential " << q.text;
+            } else {
+              Result<bool> r = seq.InfersFormula(kind, q.text);
+              ASSERT_TRUE(r.ok()) << where;
+              EXPECT_EQ(TrileanFromBool(*r), want.back())
+                  << where << " sequential " << q.text;
+            }
+          }
+
+          enum class Leg { kDirect, kPlanned, kStored };
+          for (Leg leg : {Leg::kDirect, Leg::kPlanned, Leg::kStored}) {
+            if (leg == Leg::kStored && !bank_sound) continue;
+            for (bool witnesses : {false, true}) {
+              for (int threads : {1, 4}) {
+                Reasoner r(db);
+                r.set_analysis_dispatch(false);
+                batch::BatchOptions opts;
+                opts.use_answer_cache = false;
+                opts.collect_witnesses = witnesses;
+                opts.num_threads = threads;
+                if (leg == Leg::kDirect) opts.model_bank_cap = 0;
+                if (leg == Leg::kStored) {
+                  // Two queries make a group that builds and stores the
+                  // whole-database bank.
+                  ASSERT_TRUE(
+                      r.AnswerBatch(kind, {{"p0", true}, {"p1", true}}, opts)
+                          .ok());
+                }
+                Result<batch::BatchAnswer> got =
+                    brave ? r.AnswerBatchCredulous(kind, qs, opts)
+                          : r.AnswerBatch(kind, qs, opts);
+                const std::string at =
+                    StrFormat("%s leg %d witnesses %d threads %d",
+                              where.c_str(), static_cast<int>(leg),
+                              witnesses ? 1 : 0, threads);
+                ASSERT_TRUE(got.ok()) << at;
+                const batch::BatchStats& st = got->stats;
+                EXPECT_EQ(st.groups, 1) << at;
+                const bool banked =
+                    leg == Leg::kStored ||
+                    (leg == Leg::kPlanned && bank_sound &&
+                     st.unique_queries >=
+                         static_cast<int64_t>(batch::MinBankGroup(kind, mode)));
+                EXPECT_EQ(st.bank_groups, banked ? 1 : 0) << at;
+                EXPECT_EQ(st.fallback_groups, banked ? 0 : 1) << at;
+                EXPECT_EQ(st.bank_store_hits, leg == Leg::kStored ? 1 : 0)
+                    << at;
+                ASSERT_EQ(got->answers.size(), qs.size()) << at;
+                for (size_t i = 0; i < qs.size(); ++i) {
+                  EXPECT_EQ(got->answers[i], want[i]) << at << " " << qs[i].text;
+                  ++(got->answers[i] == Trilean::kYes ? yes : no);
+                  if (!witnesses) continue;
+                  const bool certified =
+                      got->answers[i] == (brave ? Trilean::kYes : Trilean::kNo);
+                  ASSERT_EQ(got->witnesses[i].has_value(), certified)
+                      << at << " " << qs[i].text;
+                  if (certified) {
+                    EXPECT_TRUE(ref.Certifies(*got->witnesses[i], fs[i], brave))
+                        << at << " witness of " << qs[i].text;
+                    ++certified_witnesses;
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // Not vacuous: both verdicts occur, and witnesses were checked.
+  EXPECT_GT(yes, 100);
+  EXPECT_GT(no, 100);
+  EXPECT_GT(certified_witnesses, 100);
+}
+
+// ---------------------------------------------------------------------------
 // Answer cache behaviour through the Reasoner
 
 TEST(BatchCache, RepeatBatchIsAllHitsWithIdenticalAnswers) {
@@ -531,9 +785,12 @@ TEST(BatchCounters, SharedCacheAndStoreCountEachBatchsOwnTraffic) {
     int64_t oracle_call_budget;
     int64_t model_bank_cap;  ///< 0 leaves the store untouched
   };
+  // Every group that should build a bank asks two queries, so it pays
+  // for one (kMinBankGroup).
   const std::vector<Step> steps = {
-      // Two modules: two inserts into each capacity-1 structure.
-      {&ra, {{"a", true}, {"c", true}}, -1, 4096},
+      // Two modules of two queries: four inserts into the capacity-1
+      // cache, two into the capacity-1 store.
+      {&ra, {{"a", true}, {"b", true}, {"c", true}, {"d", true}}, -1, 4096},
       // Fingerprint switch: both structures invalidate.
       {&rb, {{"p", true}, {"r", true}}, -1, 4096},
       // Switch back under a zero oracle budget: kUnknown, refused.
@@ -541,13 +798,13 @@ TEST(BatchCounters, SharedCacheAndStoreCountEachBatchsOwnTraffic) {
       {&rb, {{"q", true}}, -1, 0},
       // Spans both modules: stores the whole-database bank under ra's
       // epoch.
-      {&ra, {{"a | c", false}}, -1, 4096},
+      {&ra, {{"a | c", false}, {"b | d", false}}, -1, 4096},
       {&rb, {{"not q", true}}, -1, 0},
       // A new atom outgrows the stored whole-database bank: a width-floor
       // miss that keeps the entry (the rebuilt bank refreshes it, no
       // insertion). Module banks have no width floor: they are numbered
       // over their own atoms, where a new atom reads false.
-      {&ra, {{"a | c | z", false}}, -1, 4096},
+      {&ra, {{"a | c | z", false}, {"b | d | z", false}}, -1, 4096},
       {&rb, {{"p", true}}, -1, 4096},
   };
   for (size_t i = 0; i < steps.size(); ++i) {
@@ -587,7 +844,7 @@ TEST(BatchCounters, SharedCacheAndStoreCountEachBatchsOwnTraffic) {
     // The events the sequence is built to produce.
     switch (i) {
       case 0:
-        EXPECT_EQ(bs.cache_evictions, 1);
+        EXPECT_EQ(bs.cache_evictions, 3);
         EXPECT_EQ(bs.bank_store_evictions, 1);
         break;
       case 1:

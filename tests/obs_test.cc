@@ -417,6 +417,8 @@ TEST(TraceExactness, BatchSpanCountsGroupEngineWidth) {
   // Two modules of three atoms each: a module group's engine runs on its
   // compact sub-database (3 atoms, 4 with a query-only atom), a store hit
   // runs no engine (0), a whole-database group (CWA) runs on every atom.
+  // The first step asks two queries per module, so both groups build and
+  // store the banks the second step hits.
   // The span counter, the BatchStats field and the published metric agree.
   Database db = testing::Db("a | b. c :- a. x | y. z :- x.");
   obs::TraceContext trace;
@@ -433,7 +435,10 @@ TEST(TraceExactness, BatchSpanCountsGroupEngineWidth) {
     int64_t want_atoms;
   };
   const std::vector<Step> steps = {
-      {SemanticsKind::kGcwa, {{"a", true}, {"y", true}}, &opts, 3 + 3},
+      {SemanticsKind::kGcwa,
+       {{"a", true}, {"not b", true}, {"y", true}, {"x", true}},
+       &opts,
+       3 + 3},
       {SemanticsKind::kGcwa, {{"b", true}, {"not z", true}}, &opts, 0},
       {SemanticsKind::kGcwa, {{"c | q", false}}, &no_banks, 4},
       {SemanticsKind::kCwa, {{"a", true}}, &opts, 7},

@@ -608,9 +608,14 @@ TEST(QueryServerTest, BraveModeAnswersAndCounts) {
 }
 
 TEST(QueryServerTest, BankStoreSpansRequestsAndCountsReuses) {
-  // Distinct query texts defeat the answer cache, so the second request's
-  // group must be answered from the bank the first request stored.
+  // Distinct query texts defeat the answer cache, so later requests'
+  // groups must be answered from the bank the first request stored. The
+  // first request splits into two queries on one module, so its group
+  // pays for a bank; a one-query group would answer directly.
   QueryServer server(Db("a | b. c :- a. c :- b. d."), ServeOptions{});
+  EXPECT_EQ(server.Submit(SemanticsKind::kGcwa,
+                          BatchQuery{"a & b", false}).verdict,
+            Trilean::kNo);
   EXPECT_EQ(server.Submit(SemanticsKind::kGcwa,
                           BatchQuery{"c", true}).verdict,
             Trilean::kYes);

@@ -515,10 +515,12 @@ TEST(CompactSlices, StoreHitAcrossDifferentQueryOnlyAtoms) {
     const Interpretation mentioned = db.MentionedAtoms();
     ASSERT_FALSE(mentioned.TrueAtoms().empty());
     const std::string a = db.vocabulary().Name(mentioned.TrueAtoms()[0]);
-    // Built with Q = {u0}, then hit with Q = {u1}, {}, {u1, zz} and, in
-    // brave mode, {u0} and {u0, zz}.
+    // Built with Q = {u0} (two queries, so the group pays for a bank),
+    // then hit with Q = {u1}, {}, {u1, zz} and, in brave mode, {u0} and
+    // {u0, zz}.
     const std::vector<std::vector<batch::BatchQuery>> skeptical_batches = {
-        {{StrFormat("%s | u0", a.c_str()), false}},
+        {{StrFormat("%s | u0", a.c_str()), false},
+         {StrFormat("%s | ~u0", a.c_str()), false}},
         {{StrFormat("%s | u1", a.c_str()), false},
          {StrFormat("~u1 -> %s", a.c_str()), false}},
         {{a, true}, {StrFormat("not %s", a.c_str()), true}},
